@@ -31,50 +31,6 @@ fnv1a_u64(std::uint64_t h, std::uint64_t v)
     return fnv1a(h, &v, sizeof v);
 }
 
-/**
- * Size of the largest 4-connected component of `free` on a W x H mesh.
- * kSimilarTopology only admits connected regions, so a device whose
- * largest free component is smaller than the request can never place
- * it — and asking the funnel anyway is the pathological case: its
- * enumerator exhausts an exponential partial-subset tree before
- * concluding that no connected k-subset exists.
- */
-int
-largest_free_component(const CoreSet& free, int mesh_w, int mesh_h)
-{
-    CoreSet seen;
-    int best = 0;
-    std::vector<int> stack;
-    for (int id = 0; id < mesh_w * mesh_h; ++id) {
-        if (!free.test(id) || seen.test(id))
-            continue;
-        stack.assign(1, id);
-        seen.set(id);
-        int size = 0;
-        while (!stack.empty()) {
-            const int c = stack.back();
-            stack.pop_back();
-            ++size;
-            const int x = c % mesh_w;
-            const int y = c / mesh_w;
-            const int nb[4][2] = {
-                {x - 1, y}, {x + 1, y}, {x, y - 1}, {x, y + 1}};
-            for (const auto& n : nb) {
-                if (n[0] < 0 || n[0] >= mesh_w || n[1] < 0 ||
-                    n[1] >= mesh_h)
-                    continue;
-                const int nid = n[1] * mesh_w + n[0];
-                if (free.test(nid) && !seen.test(nid)) {
-                    seen.set(nid);
-                    stack.push_back(nid);
-                }
-            }
-        }
-        best = std::max(best, size);
-    }
-    return best;
-}
-
 } // namespace
 
 const char*
@@ -162,23 +118,6 @@ FleetSimulator::note_queue_delta(Tick t, int delta)
 
 // ---- Request plumbing ----------------------------------------------------
 
-hyp::MappingRequest
-FleetSimulator::mapping_request(int width, int height,
-                                hyp::MappingStrategy s) const
-{
-    hyp::MappingRequest req;
-    req.vtopo = graph::Graph::mesh(width, height);
-    req.strategy = s;
-    // Mirrors Hypervisor::create: fragmented and straightforward
-    // placements cannot be route-confined, so they drop the
-    // connectivity requirement.
-    req.require_connected = s == hyp::MappingStrategy::kExact ||
-                            s == hyp::MappingStrategy::kSimilarTopology;
-    req.max_candidates = cfg_.similar_max_candidates;
-    req.exact_search_budget = cfg_.exact_search_budget;
-    return req;
-}
-
 hyp::VnpuSpec
 FleetSimulator::vnpu_spec(int width, int height,
                           hyp::MappingStrategy s) const
@@ -191,42 +130,6 @@ FleetSimulator::vnpu_spec(int width, int height,
     spec.max_candidates = cfg_.similar_max_candidates;
     spec.exact_search_budget = cfg_.exact_search_budget;
     return spec;
-}
-
-bool
-FleetSimulator::has_free_rect(const CoreSet& free, int w, int h) const
-{
-    const int mesh_w = cfg_.device.mesh_x;
-    const int mesh_h = cfg_.device.mesh_y;
-    const auto scan = [&](int rw, int rh) {
-        if (rw > mesh_w || rh > mesh_h)
-            return false;
-        for (int y = 0; y + rh <= mesh_h; ++y)
-            for (int x = 0; x + rw <= mesh_w; ++x) {
-                bool ok = true;
-                for (int r = 0; r < rh && ok; ++r)
-                    ok = free.test_range((y + r) * mesh_w + x, rw);
-                if (ok)
-                    return true;
-            }
-        return false;
-    };
-    return scan(w, h) || (w != h && scan(h, w));
-}
-
-bool
-FleetSimulator::exact_feasible(const CoreSet& free, int w, int h) const
-{
-    if (w >= 2 && h >= 2)
-        return has_free_rect(free, w, h);
-    // 1 x N paths can bend around corners, so grid rigidity does not
-    // apply: ask the real mapper (it only reads the shared topology,
-    // so any device's instance answers for all of them).
-    return devices_.front()
-        ->hypervisor()
-        .mapper()
-        .map(mapping_request(w, h, hyp::MappingStrategy::kExact), free)
-        .ok;
 }
 
 Tick
@@ -388,18 +291,14 @@ FleetSimulator::place(const FleetRequest& r) const
 FleetSimulator::Placement
 FleetSimulator::pick_exact(const FleetRequest& r) const
 {
+    const hyp::MappingRequest req = hyp::request_for(
+        vnpu_spec(r.width, r.height, hyp::MappingStrategy::kExact));
     int best = -1;
     int best_free = 0;
     for (const auto& devp : devices_) {
         const FleetDevice& dev = *devp;
         const int free = dev.free_cores();
-        if (free < r.cores())
-            continue;
-        // The scan is exact for rectangular tenants, so the mapper is
-        // only invoked (inside create()) when its rectangle fast path
-        // will hit — never the multi-ms polyomino/VF2 miss path.
-        if (!exact_feasible(dev.hypervisor().free_cores(), r.width,
-                            r.height))
+        if (!dev.hypervisor().try_map(req).ok)
             continue;
         if (cfg_.policy == PlacementPolicy::kFirstFit)
             return Placement{true, dev.id(),
@@ -424,20 +323,14 @@ FleetSimulator::pick_exact(const FleetRequest& r) const
 FleetSimulator::Placement
 FleetSimulator::pick_similar(const FleetRequest& r) const
 {
-    const hyp::MappingRequest req = mapping_request(
-        r.width, r.height, hyp::MappingStrategy::kSimilarTopology);
+    const hyp::MappingRequest req = hyp::request_for(vnpu_spec(
+        r.width, r.height, hyp::MappingStrategy::kSimilarTopology));
     int best = -1;
     int best_free = 0;
     double best_ted = 0.0;
     for (const auto& devp : devices_) {
         const FleetDevice& dev = *devp;
         const int free = dev.free_cores();
-        if (free < r.cores())
-            continue;
-        if (largest_free_component(dev.hypervisor().free_cores(),
-                                   cfg_.device.mesh_x,
-                                   cfg_.device.mesh_y) < r.cores())
-            continue; // no connected region is big enough
         const hyp::MappingResult m = dev.hypervisor().try_map(req);
         if (!m.ok)
             continue;
@@ -556,8 +449,8 @@ FleetSimulator::reject(Tick t, const Queued& q)
 FleetSimulator::DefragPlan
 FleetSimulator::plan_defrag(const FleetRequest& r) const
 {
-    const hyp::MappingRequest ereq =
-        mapping_request(r.width, r.height, hyp::MappingStrategy::kExact);
+    const hyp::MappingRequest ereq = hyp::request_for(
+        vnpu_spec(r.width, r.height, hyp::MappingStrategy::kExact));
 
     // Try devices in descending free-core order (ties: lowest id) —
     // the emptiest device needs the fewest migrations.
@@ -593,10 +486,6 @@ FleetSimulator::plan_defrag(const FleetRequest& r) const
                 break;
             acc |= dev.hypervisor().find(v->vm)->mask();
             victims.push_back(v);
-            if (acc.count() < r.cores())
-                continue;
-            if (!exact_feasible(acc, r.width, r.height))
-                continue; // cheap complete scan gates the mapper call
             const hyp::MappingResult m =
                 dev.hypervisor().mapper().map(ereq, acc);
             if (!m.ok)
@@ -642,13 +531,13 @@ FleetSimulator::plan_defrag(const FleetRequest& r) const
             for (const Tenant* w : moving) {
                 VictimMove mv;
                 mv.request_id = w->request_id;
-                const hyp::MappingRequest wexact = mapping_request(
-                    w->width, w->height, hyp::MappingStrategy::kExact);
+                const hyp::MappingRequest wexact = hyp::request_for(
+                    vnpu_spec(w->width, w->height,
+                              hyp::MappingStrategy::kExact));
                 // Same device, in the space left after the head lands.
-                bool placed = false;
-                if (exact_feasible(avail, w->width, w->height)) {
-                    const hyp::MappingResult wm =
-                        dev.hypervisor().mapper().map(wexact, avail);
+                const hyp::MappingResult wm =
+                    dev.hypervisor().mapper().map(wexact, avail);
+                if (wm.ok) {
                     mv.to_device = d;
                     mv.strategy = hyp::MappingStrategy::kExact;
                     avail = avail.andnot(
@@ -657,11 +546,12 @@ FleetSimulator::plan_defrag(const FleetRequest& r) const
                     continue;
                 }
                 // Other devices, exact, first-fit.
+                bool placed = false;
                 for (auto& [oid, ofree] : other_avail) {
-                    if (!exact_feasible(ofree, w->width, w->height))
-                        continue;
                     const hyp::MappingResult om =
                         dev.hypervisor().mapper().map(wexact, ofree);
+                    if (!om.ok)
+                        continue;
                     mv.to_device = oid;
                     mv.strategy = hyp::MappingStrategy::kExact;
                     ofree =
@@ -672,13 +562,13 @@ FleetSimulator::plan_defrag(const FleetRequest& r) const
                 // Last resort: straightforward on the home device —
                 // the k lowest free cores, no contiguity and no NoC
                 // isolation, but also no search cost.
-                if (!placed &&
-                    avail.count() >= w->width * w->height) {
-                    const hyp::MappingRequest wsf = mapping_request(
-                        w->width, w->height,
-                        hyp::MappingStrategy::kStraightforward);
+                if (!placed) {
                     const hyp::MappingResult fm =
-                        dev.hypervisor().mapper().map(wsf, avail);
+                        dev.hypervisor().mapper().map(
+                            hyp::request_for(vnpu_spec(
+                                w->width, w->height,
+                                hyp::MappingStrategy::kStraightforward)),
+                            avail);
                     if (fm.ok) {
                         mv.to_device = d;
                         mv.strategy =

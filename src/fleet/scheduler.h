@@ -12,7 +12,11 @@
  * blocking: the head is placed as soon as any device can host it,
  * optionally after a defragmentation pass migrates small tenants to
  * carve out an exact region; requests whose patience runs out are
- * rejected.
+ * rejected. Every "can this free set host that request?" question,
+ * real or hypothetical, is a `TopologyMapper::map` call on the
+ * request `hyp::request_for` derives from the tenant's VnpuSpec: the
+ * mapper proves exact grid misses and connected-size misses cheaply,
+ * so the scheduler keeps no feasibility logic of its own.
  *
  * Determinism contract: the decision sequence is a pure function of
  * (FleetConfig, seed). All randomness flows through named Rng
@@ -236,23 +240,8 @@ class FleetSimulator {
         Tick wait = 0; ///< Slowest migration's state-copy cost.
     };
 
-    hyp::MappingRequest mapping_request(int width, int height,
-                                        hyp::MappingStrategy s) const;
     hyp::VnpuSpec vnpu_spec(int width, int height,
                             hyp::MappingStrategy s) const;
-
-    /**
-     * Exact-map feasibility of a w x h request against `free`, without
-     * running the mapper's miss-path search. Grid graphs with both
-     * sides >= 2 are rigid — every 4-cycle must land on a lattice unit
-     * square, so an induced embedding is an axis-aligned rectangle in
-     * one of two orientations — which makes a complete free-rectangle
-     * scan equivalent to (and ~1000x cheaper than) the mapper's
-     * polyomino/VF2 miss path. Degenerate 1 x N requests can bend, so
-     * they fall through to the real mapper.
-     */
-    bool exact_feasible(const CoreSet& free, int w, int h) const;
-    bool has_free_rect(const CoreSet& free, int w, int h) const;
 
     /** Advance the utilization / queue-depth integrals to `t`. */
     void advance_integrals(Tick t);

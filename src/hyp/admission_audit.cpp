@@ -60,11 +60,13 @@ AdmissionAuditRing::dump_jsonl(std::ostream& os) const
            << ", \"vm\": " << e.vm << ", \"ted\": " << e.ted
            << ", \"setup_cycles\": " << e.setup_cycles
            << ", \"search_steps\": " << e.search_steps
-           << ", \"funnel\": {\"candidates\": " << e.funnel_candidates
-           << ", \"lb_pruned\": " << e.funnel_lb_pruned
-           << ", \"memo_hits\": " << e.funnel_memo_hits
-           << ", \"ted0_hits\": " << e.funnel_ted0_hits
-           << ", \"full_ged\": " << e.funnel_full_ged << "}";
+           << ", \"funnel\": {";
+        const char* sep = "";
+        for (const auto& [name, field] : kFunnelFields) {
+            os << sep << '"' << name << "\": " << e.funnel.*field;
+            sep = ", ";
+        }
+        os << "}";
         if (!e.error.empty()) {
             os << ", \"error\": ";
             write_json_string(os, e.error);

@@ -33,11 +33,7 @@ struct AdmissionAuditEntry {
     double ted = 0.0;           ///< Realized topology edit distance.
     Cycles setup_cycles = 0;    ///< Meta-table deployment cost.
     std::uint64_t search_steps = 0;
-    std::uint64_t funnel_candidates = 0;
-    std::uint64_t funnel_lb_pruned = 0;
-    std::uint64_t funnel_memo_hits = 0;
-    std::uint64_t funnel_ted0_hits = 0;
-    std::uint64_t funnel_full_ged = 0;
+    FunnelCounters funnel;
     std::string error;          ///< Failure reason (rejected only).
 };
 

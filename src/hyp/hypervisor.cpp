@@ -1,6 +1,7 @@
 #include "hyp/hypervisor.h"
 
 #include <algorithm>
+#include <array>
 #include <iterator>
 
 #include "check/checks.h"
@@ -193,6 +194,26 @@ Hypervisor::build_range_table(VmId vm, std::uint64_t bytes)
     return rtt;
 }
 
+MappingRequest
+request_for(const VnpuSpec& spec)
+{
+    if (spec.topo && spec.num_cores > 0 &&
+        spec.topo->num_nodes() != spec.num_cores) {
+        fatal("spec.num_cores (", spec.num_cores,
+              ") contradicts spec.topo size (", spec.topo->num_nodes(), ")");
+    }
+    MappingRequest req;
+    req.vtopo = spec.topo ? *spec.topo
+                          : TopologyMapper::snake_topology(
+                                spec.num_cores > 0 ? spec.num_cores : 1);
+    req.strategy = spec.strategy;
+    req.require_connected = spec.noc_isolation;
+    req.max_candidates = spec.max_candidates;
+    req.exact_search_budget = spec.exact_search_budget;
+    req.ged = spec.ged;
+    return req;
+}
+
 virt::VirtualNpu&
 Hypervisor::create(const VnpuSpec& spec)
 {
@@ -200,14 +221,8 @@ Hypervisor::create(const VnpuSpec& spec)
     const Tick t0 = obs::sim_now();
 
     // 1. Resolve the requested virtual topology.
-    graph::Graph vtopo =
-        spec.topo ? *spec.topo : TopologyMapper::snake_topology(
-                                     spec.num_cores > 0 ? spec.num_cores : 1);
-    if (spec.topo && spec.num_cores > 0 &&
-        spec.topo->num_nodes() != spec.num_cores) {
-        fatal("spec.num_cores (", spec.num_cores,
-              ") contradicts spec.topo size (", spec.topo->num_nodes(), ")");
-    }
+    const MappingRequest mreq = request_for(spec);
+    const graph::Graph& vtopo = mreq.vtopo;
 
     AdmissionAuditEntry audit;
     audit.sim_time = t0;
@@ -215,29 +230,13 @@ Hypervisor::create(const VnpuSpec& spec)
     audit.strategy = spec.strategy;
 
     // 2. Allocate physical cores via the chosen strategy.
-    MappingRequest mreq;
-    mreq.vtopo = vtopo;
-    mreq.strategy = spec.strategy;
-    mreq.require_connected = spec.noc_isolation;
-    mreq.max_candidates = spec.max_candidates;
-    mreq.exact_search_budget = spec.exact_search_budget;
-    mreq.ged = spec.ged;
     MappingResult m = mapper_.map(mreq, free_);
     stats_.mapper_search_steps += m.search_steps;
     if (m.budget_exhausted)
         ++stats_.mapper_budget_exhausted;
-    stats_.mapper_funnel_candidates += m.funnel_candidates;
-    stats_.mapper_lb_pruned += m.funnel_lb_pruned;
-    stats_.mapper_memo_hits += m.funnel_memo_hits;
-    stats_.mapper_memo_misses += m.funnel_memo_misses;
-    stats_.mapper_ted0_hits += m.funnel_ted0_hits;
-    stats_.mapper_full_ged += m.funnel_full_ged;
+    stats_.funnel += m.funnel;
     audit.search_steps = m.search_steps;
-    audit.funnel_candidates = m.funnel_candidates;
-    audit.funnel_lb_pruned = m.funnel_lb_pruned;
-    audit.funnel_memo_hits = m.funnel_memo_hits;
-    audit.funnel_ted0_hits = m.funnel_ted0_hits;
-    audit.funnel_full_ged = m.funnel_full_ged;
+    audit.funnel = m.funnel;
     if (!m.ok) {
         ++stats_.allocation_failures;
         audit.error = m.error;
@@ -337,19 +336,22 @@ Hypervisor::create_provision(const VnpuSpec& spec,
 void
 Hypervisor::record_admission(AdmissionAuditEntry e, Tick t0)
 {
-    // The span's duration is the modeled meta-table deployment cost
-    // (the sim clock itself does not advance inside create()).
-    VNPU_TRACE(emit_complete(
-        "admission", "hyp", t0, e.setup_cycles, obs::kTrackHyp,
-        {obs::arg("vm", e.vm), obs::arg("cores", e.requested_cores),
-         obs::arg("strategy", to_string(e.strategy)),
-         obs::arg("ok", e.admitted ? 1 : 0), obs::arg("ted", e.ted),
-         obs::arg("search_steps", e.search_steps),
-         obs::arg("candidates", e.funnel_candidates),
-         obs::arg("lb_pruned", e.funnel_lb_pruned),
-         obs::arg("memo_hits", e.funnel_memo_hits),
-         obs::arg("ted0_hits", e.funnel_ted0_hits),
-         obs::arg("full_ged", e.funnel_full_ged)}));
+    if (obs::enabled()) {
+        // The span's duration is the modeled meta-table deployment cost
+        // (the sim clock itself does not advance inside create()).
+        std::array<obs::TraceArg, 6 + kFunnelFields.size()> args{
+            obs::arg("vm", e.vm), obs::arg("cores", e.requested_cores),
+            obs::arg("strategy", to_string(e.strategy)),
+            obs::arg("ok", e.admitted ? 1 : 0), obs::arg("ted", e.ted),
+            obs::arg("search_steps", e.search_steps)};
+        std::size_t n = args.size() - kFunnelFields.size();
+        for (const auto& [name, field] : kFunnelFields)
+            args[n++] = obs::arg(name, e.funnel.*field);
+        obs::emit(obs::TraceEvent{"admission", "hyp", 'X', t0,
+                                  e.setup_cycles, obs::kTrackHyp,
+                                  args.data(),
+                                  static_cast<int>(args.size())});
+    }
     audit_.push(std::move(e));
 }
 
@@ -374,18 +376,9 @@ Hypervisor::collect_stats(StatSet& out, const std::string& prefix) const
             static_cast<double>(stats_.mapper_search_steps.value()));
     out.add(prefix + "mapper.budget_exhausted",
             static_cast<double>(stats_.mapper_budget_exhausted.value()));
-    out.add(prefix + "funnel.candidates",
-            static_cast<double>(stats_.mapper_funnel_candidates.value()));
-    out.add(prefix + "funnel.lb_pruned",
-            static_cast<double>(stats_.mapper_lb_pruned.value()));
-    out.add(prefix + "funnel.memo_hits",
-            static_cast<double>(stats_.mapper_memo_hits.value()));
-    out.add(prefix + "funnel.memo_misses",
-            static_cast<double>(stats_.mapper_memo_misses.value()));
-    out.add(prefix + "funnel.ted0_hits",
-            static_cast<double>(stats_.mapper_ted0_hits.value()));
-    out.add(prefix + "funnel.full_ged",
-            static_cast<double>(stats_.mapper_full_ged.value()));
+    for (const auto& [name, field] : kFunnelFields)
+        out.add(prefix + "funnel." + name,
+                static_cast<double>(stats_.funnel.*field));
     out.set(prefix + "route_cache.size",
             static_cast<double>(route_cache_.size()));
     out.set(prefix + "free_cores", num_free_cores());

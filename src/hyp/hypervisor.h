@@ -61,14 +61,16 @@ struct HypervisorStats {
     Counter route_cache_evictions; ///< Unreferenced tables dropped at cap.
     Counter mapper_search_steps;    ///< Exact-search placements attempted.
     Counter mapper_budget_exhausted; ///< Exact searches that gave up.
-    // Similar/fragmented scoring-funnel stages (docs/sim_kernel.md):
-    Counter mapper_funnel_candidates; ///< Candidates entering scoring.
-    Counter mapper_lb_pruned;         ///< Dropped by the GED lower bound.
-    Counter mapper_memo_hits;         ///< Scores reused from the memo.
-    Counter mapper_memo_misses;
-    Counter mapper_ted0_hits;         ///< VF2 zero-TED short-circuits.
-    Counter mapper_full_ged;          ///< Full exact/approx GED runs.
+    FunnelCounters funnel; ///< Summed over every create()'s mapping.
 };
+
+/**
+ * The mapper request a spec asks for: `topo` (default: snake mesh of
+ * `num_cores`), strategy, budgets and edit costs; NoC isolation
+ * requires a connected region.
+ * @throws SimFatal when `num_cores` contradicts the size of `topo`.
+ */
+MappingRequest request_for(const VnpuSpec& spec);
 
 /** Manages all virtual NPUs of one physical chip. */
 class Hypervisor {
@@ -129,7 +131,8 @@ class Hypervisor {
     virt::InstVRouter& inst_vrouter() { return ivr_; }
     const TopologyMapper& mapper() const { return mapper_; }
 
-    /** Dry-run the mapper (used by examples and benches). */
+    /** Dry-run the mapper against the live free set (fleet placement,
+     *  examples, benches); nothing is allocated. */
     MappingResult try_map(const MappingRequest& req) const
     {
         return mapper_.map(req, free_);

@@ -5,6 +5,7 @@
 #include <cstring>
 #include <functional>
 #include <limits>
+#include <numeric>
 
 #include "obs/prof.h"
 #include "sim/log.h"
@@ -232,6 +233,20 @@ struct CandidateCollector {
     }
 };
 
+/** True when some connected component of `free` in `mesh` has >= k
+ *  cores. */
+bool
+has_connected_region(const graph::Graph& mesh, CoreSet free, int k)
+{
+    while (free.count() >= k) {
+        const CoreSet comp = mesh.component_of(free.lowest(), free);
+        if (comp.count() >= k)
+            return true;
+        free = free.andnot(comp);
+    }
+    return false;
+}
+
 /**
  * Order-dependent request fingerprint for the memo key: node order,
  * labels, adjacency, and every GedOptions field that shapes a score.
@@ -456,13 +471,14 @@ decompose_rects(const std::vector<std::pair<int, int>>& cells, int w, int h)
 
 /**
  * The 8 grid symmetries (4 rotations x optional reflection) of one
- * embedding, normalized and deduplicated by cell set: congruent
+ * cell shape (cells[v] = (x, y) of vertex v), identity first, then the
+ * transpose; normalized and deduplicated by cell set: congruent
  * transforms would slide over identical placements.
  */
 std::vector<ShapeVariant>
-shape_variants(const noc::MeshTopology& topo, const std::vector<int>& emb)
+shape_variants(const std::vector<std::pair<int, int>>& cells)
 {
-    const int k = static_cast<int>(emb.size());
+    const int k = static_cast<int>(cells.size());
     std::vector<ShapeVariant> out;
     std::vector<std::vector<std::pair<int, int>>> seen_cell_sets;
     for (int t = 0; t < 8; ++t) {
@@ -470,8 +486,7 @@ shape_variants(const noc::MeshTopology& topo, const std::vector<int>& emb)
         v.cells.resize(k);
         int min_x = INT32_MAX, min_y = INT32_MAX;
         for (int p = 0; p < k; ++p) {
-            int x = topo.x_of(emb[p]);
-            int y = topo.y_of(emb[p]);
+            auto [x, y] = cells[p];
             if (t & 4)
                 std::swap(x, y); // transpose
             if (t & 1)
@@ -541,6 +556,54 @@ slide_shape(const noc::MeshTopology& topo,
     return false;
 }
 
+/**
+ * The shape variants of a row-major grid of k cells and width w: the
+ * w x (k / w) block with the identity assignment, then, unless square,
+ * the transposed block with v -> (v / w, v % w). Equal to
+ * `shape_variants` of the grid's cells, without its sort and decompose.
+ */
+std::vector<ShapeVariant>
+grid_variants(int w, int k)
+{
+    std::vector<ShapeVariant> out(w * w == k ? 1 : 2);
+    for (std::size_t o = 0; o < out.size(); ++o) {
+        ShapeVariant& v = out[o];
+        v.w = o ? k / w : w;
+        v.h = k / v.w;
+        v.cells.resize(k);
+        for (int p = 0; p < k; ++p)
+            v.cells[p] = o ? std::pair{p / w, p % w}
+                           : std::pair{p % w, p / w};
+        v.rects = {{0, 0, v.w, v.h}};
+    }
+    return out;
+}
+
+constexpr const char* kLockIn =
+    "no exact topology match available (topology lock-in)";
+
+/**
+ * Width W when `g` is exactly the row-major grid mesh(W, k / W) at zero
+ * identity cost under `ged`, else 0. Vertex 0's neighbours name the only
+ * candidate: {1, W} for W >= 2, {1} for a path (read as a 1 x k column)
+ * and none for a single core.
+ */
+int
+row_major_grid_width(const graph::Graph& g, const graph::GedOptions& ged)
+{
+    const int k = g.num_nodes();
+    const graph::NodeMask& nb = g.neighbors(0);
+    const int w = nb.count() == 2 && nb.test(1) ? nb.next(2) : 1;
+    if (nb.count() > 2 || k % w != 0)
+        return 0;
+    const graph::Graph rect = graph::Graph::mesh(w, k / w);
+    std::vector<int> identity(k);
+    std::iota(identity.begin(), identity.end(), 0);
+    return g == rect && graph::ged_mapping_cost(g, rect, identity, ged) == 0.0
+               ? w
+               : 0;
+}
+
 } // namespace
 
 MappingResult
@@ -557,52 +620,31 @@ TopologyMapper::map_exact(const MappingRequest& req, const CoreSet& free) const
         return res;
     }
 
-    std::uint64_t req_hash = req.vtopo.wl_hash();
-
-    // Phase 1 — sliding rectangle. Mesh-shaped requests (the dominant
-    // case) are matched by sliding the rectangle over the physical
-    // mesh; kept in front of the general machinery so rectangle
-    // placements (and the golden traces built on them) are bit-for-bit
-    // what they were before the complete search existed.
+    // Slide the symmetry variants of one cell shape over the free set;
+    // true when `res` is final: a hit, or a proven miss for a grid.
+    // Grids with W, H >= 2 are rigid: every 4-cycle must land on a
+    // lattice unit square, so an induced embedding is an axis-aligned
+    // rectangle in one of the two orientations the slide tries.
     const int k = req.vtopo.num_nodes();
-    for (int vw = 1; vw <= k; ++vw) {
+    auto slide = [&](const std::vector<ShapeVariant>& variants) {
+        res.ok = slide_shape(topo_, variants, free, res.assignment, &seen);
+        res.candidates_considered = seen;
+        const ShapeVariant& v = variants.front();
+        const bool rigid = v.w >= 2 && v.h >= 2 && v.w * v.h == k;
+        if (!res.ok && rigid)
+            res.error = kLockIn;
+        return res.ok || rigid;
+    };
+
+    // Phase 1 — sliding rectangle. A row-major mesh(W, H) request (the
+    // dominant case) slides as a W x H block with the identity
+    // assignment, then as an H x W block with the transpose, anchors in
+    // row-major order; a miss spends no search budget. Paths (W == 1)
+    // can bend around obstacles and fall through to phases 2 and 3.
+    if (const int gw = row_major_grid_width(req.vtopo, req.ged)) {
         VNPU_PROF("mapper.exact.rect");
-        if (k % vw != 0)
-            continue;
-        const int vh = k / vw;
-        if (vw > topo_.width() || vh > topo_.height())
-            continue;
-        graph::Graph rect = graph::Graph::mesh(vw, vh);
-        if (rect.wl_hash() != req_hash)
-            continue;
-        // The anchored rectangle induces exactly mesh(vw, vh), so the
-        // identity (row-major) correspondence works for any anchor iff
-        // it is zero-cost against the canonical rectangle.
-        std::vector<int> identity(k);
-        for (int v = 0; v < k; ++v)
-            identity[v] = v;
-        if (graph::ged_mapping_cost(req.vtopo, rect, identity,
-                                    req.ged) != 0.0)
-            continue;
-        for (int ay = 0; ay + vh <= topo_.height(); ++ay) {
-            for (int ax = 0; ax + vw <= topo_.width(); ++ax) {
-                ++seen;
-                bool fits = true;
-                for (int r = 0; r < vh && fits; ++r)
-                    for (int c = 0; c < vw && fits; ++c)
-                        fits = free.test(topo_.id_of(ax + c, ay + r));
-                if (!fits)
-                    continue;
-                res.ok = true;
-                res.ted = 0.0;
-                res.assignment.resize(k);
-                for (int v = 0; v < k; ++v)
-                    res.assignment[v] =
-                        topo_.id_of(ax + v % vw, ay + v / vw);
-                res.candidates_considered = seen;
-                return res;
-            }
-        }
+        if (slide(grid_variants(gw, k)))
+            return res;
     }
 
     // The mesh graph is only needed past the fast path.
@@ -653,13 +695,14 @@ TopologyMapper::map_exact(const MappingRequest& req, const CoreSet& free) const
                               "the physical mesh";
             return res;
         }
-        if (slide_shape(topo_, shape_variants(topo_, shape.mapping), free,
-                        res.assignment, &seen)) {
-            res.ok = true;
-            res.ted = 0.0;
-            res.candidates_considered = seen;
+        // A grid in any vertex order embeds as a full rectangle, so
+        // rigidity refutes it here too, without a phase-3 search.
+        std::vector<std::pair<int, int>> cells(k);
+        for (int v = 0; v < k; ++v)
+            cells[v] = {topo_.x_of(shape.mapping[v]),
+                        topo_.y_of(shape.mapping[v])};
+        if (slide(shape_variants(cells)))
             return res;
-        }
     }
 
     // Phase 3 — anchored VF2 over the free-core induced subgraph. The
@@ -684,8 +727,7 @@ TopologyMapper::map_exact(const MappingRequest& req, const CoreSet& free) const
     res.budget_exhausted = deep.budget_exhausted;
     res.error = deep.budget_exhausted
                     ? "exact search budget exhausted (result inconclusive)"
-                    : "no exact topology match available (topology "
-                      "lock-in)";
+                    : kLockIn;
     return res;
 }
 
@@ -729,7 +771,11 @@ TopologyMapper::map_similar(const MappingRequest& req, const CoreSet& free,
                         req.ged.edge_ins_cost >= 0.0;
 
     CandidateCollector col(req, free, mesh);
-    col.enumerate_phase();
+    // Component bound: a free set whose largest connected component is
+    // smaller than the request holds no candidate, and the enumerator
+    // would exhaust an exponential partial-subset tree to find that out.
+    if (has_connected_region(mesh, free, k))
+        col.enumerate_phase();
 
     MappingResult res;
     double best = std::numeric_limits<double>::infinity();
@@ -761,7 +807,7 @@ TopologyMapper::map_similar(const MappingRequest& req, const CoreSet& free,
             // admissible lower bound against the chunk bound.
             for (std::size_t s = 0; s < n_slots; ++s) {
                 const std::size_t i = lo + s;
-                ++res.funnel_candidates;
+                ++res.funnel.candidates;
                 if (!funnel) {
                     // vnpu-lint: allow-next-line(hot-path-alloc) per-chunk
                     runnable.push_back(static_cast<int>(s));
@@ -774,7 +820,7 @@ TopologyMapper::map_similar(const MappingRequest& req, const CoreSet& free,
                     if (it != memo_.end() &&
                         (it->second.cost < it->second.bound_used ||
                          bound <= it->second.bound_used)) {
-                        ++res.funnel_memo_hits;
+                        ++res.funnel.memo_hits;
                         slots[s].kind = CandidateScore::Kind::kScored;
                         slots[s].cost = it->second.cost;
                         slots[s].mapping = it->second.mapping;
@@ -782,7 +828,7 @@ TopologyMapper::map_similar(const MappingRequest& req, const CoreSet& free,
                         continue;
                     }
                 }
-                ++res.funnel_memo_misses;
+                ++res.funnel.memo_misses;
                 bool lb_pruned;
                 {
                     VNPU_PROF("funnel.lb_prune");
@@ -792,7 +838,7 @@ TopologyMapper::map_similar(const MappingRequest& req, const CoreSet& free,
                                     req.ged) > bound;
                 }
                 if (lb_pruned) {
-                    ++res.funnel_lb_pruned; // cost >= lb > any later best
+                    ++res.funnel.lb_pruned; // cost >= lb > any later best
                     continue;
                 }
                 // vnpu-lint: allow-next-line(hot-path-alloc) per-chunk
@@ -887,9 +933,9 @@ TopologyMapper::map_similar(const MappingRequest& req, const CoreSet& free,
                 const std::size_t i = lo + s;
                 if (!sc.from_memo) {
                     if (sc.ted0)
-                        ++res.funnel_ted0_hits;
+                        ++res.funnel.ted0_hits;
                     else
-                        ++res.funnel_full_ged;
+                        ++res.funnel.full_ged;
                     if (funnel) {
                         if (memo_.size() >= kMemoCapacity)
                             memo_.clear();

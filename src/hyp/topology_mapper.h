@@ -5,17 +5,24 @@
  *
  * Strategies:
  *  - kExact: allocate only a region isomorphic to the request (TED 0);
- *    fail otherwise — this is the "topology lock-in" behaviour. The
- *    search is complete at any mesh scale: sliding-rectangle fast path,
- *    then a rectangle-decomposed polyomino slide of one grid embedding
- *    (8 symmetries) over the free CoreSet, then an anchored VF2-style
- *    induced-isomorphism search, budgeted by `exact_search_budget`
- *    (see docs/sim_kernel.md, "Exact mapping").
+ *    fail otherwise — this is the "topology lock-in" behaviour. This is
+ *    the one exact-feasibility path: callers (the fleet scheduler
+ *    included) ask `map()` and read `ok`. A row-major W x H grid
+ *    request slides over the free set in both orientations; for
+ *    W, H >= 2 grid rigidity makes a miss there a proof, returned
+ *    without spending search budget. Other requests go on to a
+ *    rectangle-decomposed polyomino slide of one grid embedding (8
+ *    symmetries; a grid in any vertex order is again refuted by
+ *    rigidity), then an anchored VF2-style induced-isomorphism search,
+ *    budgeted by `exact_search_budget` (see docs/sim_kernel.md, "Exact
+ *    mapping").
  *  - kStraightforward: take the lowest-id free cores (zig-zag); cheap
  *    but ignores adjacency.
  *  - kSimilarTopology: enumerate connected candidate regions (pruned,
  *    deduplicated by topology, early-exit on an exact match), score by
- *    minimum topology edit distance, return the best.
+ *    minimum topology edit distance, return the best. A free set whose
+ *    largest connected component is smaller than the request fails
+ *    before any enumeration.
  *  - kFragmented: like similar-topology, but when no connected region
  *    of the required size exists, fall back to the closest-packed
  *    disconnected core set (trades isolation for utilization).
@@ -24,9 +31,11 @@
 #ifndef VNPU_HYP_TOPOLOGY_MAPPER_H
 #define VNPU_HYP_TOPOLOGY_MAPPER_H
 
+#include <array>
 #include <cstdint>
 #include <string>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "graph/enumerate.h"
@@ -76,6 +85,37 @@ struct MappingRequest {
     bool funnel = true;
 };
 
+/** Similar/fragmented scoring-funnel stage counters (docs/sim_kernel.md,
+ *  "Admission funnel"); one record shared by mapper results, hypervisor
+ *  stats and the admission audit. */
+struct FunnelCounters {
+    std::uint64_t candidates = 0;  ///< Candidates entering scoring.
+    std::uint64_t lb_pruned = 0;   ///< Discarded by the GED lower bound.
+    std::uint64_t memo_hits = 0;   ///< Scores reused from the memo.
+    std::uint64_t memo_misses = 0; ///< Memo probes that missed.
+    std::uint64_t ted0_hits = 0;   ///< VF2 zero-TED short-circuits.
+    std::uint64_t full_ged = 0;    ///< Full exact/approx GED runs.
+};
+
+/** (name, field) of every FunnelCounters field, in reporting order; the
+ *  names are the `funnel.*` stat suffixes, trace args and JSON keys. */
+inline constexpr std::array<
+    std::pair<const char*, std::uint64_t FunnelCounters::*>, 6>
+    kFunnelFields{{{"candidates", &FunnelCounters::candidates},
+                   {"lb_pruned", &FunnelCounters::lb_pruned},
+                   {"memo_hits", &FunnelCounters::memo_hits},
+                   {"memo_misses", &FunnelCounters::memo_misses},
+                   {"ted0_hits", &FunnelCounters::ted0_hits},
+                   {"full_ged", &FunnelCounters::full_ged}}};
+
+inline FunnelCounters&
+operator+=(FunnelCounters& a, const FunnelCounters& b)
+{
+    for (const auto& [name, field] : kFunnelFields)
+        a.*field += b.*field;
+    return a;
+}
+
 /** Allocation outcome. */
 struct MappingResult {
     bool ok = false;
@@ -90,14 +130,7 @@ struct MappingResult {
      *  failure does not prove that no isomorphic region exists. */
     bool budget_exhausted = false;
     std::string error;
-
-    // ---- Similar/fragmented funnel stage counters --------------------
-    std::uint64_t funnel_candidates = 0; ///< Candidates entering scoring.
-    std::uint64_t funnel_lb_pruned = 0;  ///< Discarded by lower bound.
-    std::uint64_t funnel_memo_hits = 0;  ///< Scores reused from the memo.
-    std::uint64_t funnel_memo_misses = 0;
-    std::uint64_t funnel_ted0_hits = 0;  ///< Zero-TED short-circuits.
-    std::uint64_t funnel_full_ged = 0;   ///< Full exact/approx GED runs.
+    FunnelCounters funnel; ///< Similar/fragmented strategies only.
 };
 
 /** Maps requested virtual topologies onto free physical cores. */

@@ -417,8 +417,9 @@ TEST(ExactScaleTest, BudgetBoundsWorkAndIsReported)
     noc::MeshTopology topo(32, 32);
     TopologyMapper mapper(topo);
     // Checkerboard-ish fragmentation: no 2x2 block survives, so a big
-    // rectangle request fails — the search must refute or give up
-    // within budget, and say which.
+    // rectangle request fails. Grid rigidity makes the rectangle scan
+    // complete for W, H >= 2, so the miss is a proof that spends none
+    // of the (tiny) budget.
     CoreSet free = CoreSet::first_n(1024);
     for (int y = 0; y < 32; ++y)
         for (int x = 0; x < 32; ++x)
@@ -429,20 +430,133 @@ TEST(ExactScaleTest, BudgetBoundsWorkAndIsReported)
     req.exact_search_budget = 2000;
     MappingResult r = mapper.map(req, free);
     EXPECT_FALSE(r.ok);
-    // Either verdict is legal under a tiny budget, but the effort cap
-    // is hard: embedding probe + slide + bounded VF2.
-    EXPECT_LE(r.search_steps, 2u * req.exact_search_budget + 2);
-    if (!r.budget_exhausted) {
-        // Proven absence must agree with geometry: no free 2x2 exists.
-        bool any_2x2 = false;
-        for (int y = 0; y + 1 < 32 && !any_2x2; ++y)
-            for (int x = 0; x + 1 < 32 && !any_2x2; ++x)
-                any_2x2 = free.test(topo.id_of(x, y)) &&
-                          free.test(topo.id_of(x + 1, y)) &&
-                          free.test(topo.id_of(x, y + 1)) &&
-                          free.test(topo.id_of(x + 1, y + 1));
-        EXPECT_FALSE(any_2x2);
+    EXPECT_FALSE(r.budget_exhausted);
+    EXPECT_EQ(r.search_steps, 0u);
+    // Proven absence must agree with geometry: no free 2x2 exists.
+    bool any_2x2 = false;
+    for (int y = 0; y + 1 < 32 && !any_2x2; ++y)
+        for (int x = 0; x + 1 < 32 && !any_2x2; ++x)
+            any_2x2 = free.test(topo.id_of(x, y)) &&
+                      free.test(topo.id_of(x + 1, y)) &&
+                      free.test(topo.id_of(x, y + 1)) &&
+                      free.test(topo.id_of(x + 1, y + 1));
+    EXPECT_FALSE(any_2x2);
+
+    // A 4x4 grid in snake vertex order against 3-row free strips (every
+    // 4th row taken) is refuted by the symmetry slide of its one
+    // embedding: a proof whose only steps are those of the embedding
+    // probe (what a hit on the empty mesh spends), with no VF2 search
+    // through the strips after it.
+    CoreSet strips = CoreSet::first_n(1024);
+    for (int y = 3; y < 32; y += 4)
+        for (int x = 0; x < 32; ++x)
+            strips.reset(topo.id_of(x, y));
+    MappingRequest snake = exact_request(TopologyMapper::snake_topology(16));
+    snake.exact_search_budget = 2000;
+    MappingResult rs = mapper.map(snake, strips);
+    EXPECT_FALSE(rs.ok);
+    EXPECT_FALSE(rs.budget_exhausted);
+    MappingResult on_empty = mapper.map(snake, CoreSet::first_n(1024));
+    ASSERT_TRUE(on_empty.ok);
+    EXPECT_EQ(rs.search_steps, on_empty.search_steps);
+}
+
+/**
+ * Placement spec of row-major grid requests: mesh(W, H) lands on the
+ * first free W x H block (row-major anchors) with the identity
+ * assignment, else on the first free H x W block with the transpose
+ * v -> (ax + v / W, ay + v % W). A path reads as a 1 x k column first.
+ * For W, H >= 2 a miss of both scans is a proof that spends no budget;
+ * a path may still bend around obstacles (phases 2 and 3).
+ */
+TEST(ExactScaleTest, GridRequestsFollowTheRectangleSpec)
+{
+    struct Dims {
+        int w, h;
+    };
+    int hits = 0, transposed_hits = 0, misses = 0;
+    for (Dims mesh_dims : {Dims{8, 8}, Dims{16, 8}, Dims{32, 32}}) {
+        noc::MeshTopology topo(mesh_dims.w, mesh_dims.h);
+        TopologyMapper mapper(topo);
+        graph::Graph mesh = topo.to_graph();
+        const int n = topo.num_nodes();
+        for (std::uint64_t seed = 0; seed < 6; ++seed) {
+            // Seeded fragmentation: scattered dead cores plus occupied
+            // blocks, denser for odd seeds.
+            Rng rng(0x5bec + seed * 131 + static_cast<std::uint64_t>(n));
+            CoreSet free = CoreSet::first_n(n);
+            for (int i = 0; i < n; ++i)
+                if (rng.next_below(100) < (seed % 2 ? 25u : 8u))
+                    free.reset(i);
+            for (int b = 0; b < n / 32; ++b) {
+                const int x0 = static_cast<int>(rng.next_below(mesh_dims.w));
+                const int y0 = static_cast<int>(rng.next_below(mesh_dims.h));
+                const int bw = 1 + static_cast<int>(rng.next_below(5));
+                const int bh = 1 + static_cast<int>(rng.next_below(5));
+                for (int y = y0; y < std::min(mesh_dims.h, y0 + bh); ++y)
+                    for (int x = x0; x < std::min(mesh_dims.w, x0 + bw); ++x)
+                        free.reset(topo.id_of(x, y));
+            }
+            for (int w = 1; w <= 8; ++w) {
+                for (int h = 1; h <= 8; ++h) {
+                    const int k = w * h;
+                    if (free.count() < k)
+                        continue;
+                    // Paths are scanned as a 1 x k column, then a row.
+                    const int gw = std::min(w, h) == 1 ? 1 : w;
+                    const int gh = k / gw;
+                    std::vector<CoreId> expect;
+                    for (int o = 0; o < 2 && expect.empty(); ++o) {
+                        const int rw = o ? gh : gw, rh = o ? gw : gh;
+                        for (int ay = 0; ay + rh <= topo.height() &&
+                                         expect.empty();
+                             ++ay)
+                            for (int ax = 0; ax + rw <= topo.width() &&
+                                             expect.empty();
+                                 ++ax) {
+                                bool fits = true;
+                                for (int c = 0; c < k && fits; ++c)
+                                    fits = free.test(topo.id_of(
+                                        ax + c % rw, ay + c / rw));
+                                if (!fits)
+                                    continue;
+                                for (int v = 0; v < k; ++v)
+                                    expect.push_back(
+                                        o ? topo.id_of(ax + v / gw,
+                                                       ay + v % gw)
+                                          : topo.id_of(ax + v % gw,
+                                                       ay + v / gw));
+                                transposed_hits += o;
+                            }
+                    }
+                    const graph::Graph pattern = graph::Graph::mesh(w, h);
+                    MappingResult r = mapper.map(exact_request(pattern), free);
+                    SCOPED_TRACE(testing::Message()
+                                 << mesh_dims.w << "x" << mesh_dims.h
+                                 << " seed " << seed << " request " << w
+                                 << "x" << h);
+                    if (!expect.empty()) {
+                        ++hits;
+                        ASSERT_TRUE(r.ok);
+                        EXPECT_EQ(r.assignment, expect);
+                        EXPECT_EQ(r.search_steps, 0u);
+                    } else if (w >= 2 && h >= 2) {
+                        ++misses;
+                        EXPECT_FALSE(r.ok);
+                        EXPECT_FALSE(r.budget_exhausted);
+                        EXPECT_EQ(r.search_steps, 0u);
+                    }
+                    if (r.ok)
+                        expect_exact_placement(mesh, pattern, free,
+                                               r.assignment);
+                }
+            }
+        }
     }
+    // The fixtures must exercise both verdicts and both orientations.
+    EXPECT_GT(hits, 100);
+    EXPECT_GT(transposed_hits, 10);
+    EXPECT_GT(misses, 20);
 }
 
 TEST(ExactScaleTest, DisconnectedRequestHonorsConnectivityFlag)

@@ -140,23 +140,32 @@ TEST(MapperTest, SimilarBeatsStraightforwardOnFragmentedMesh)
 
 TEST(MapperTest, ConnectivityRequirementHonored)
 {
-    // Free cores form two disconnected 2-core islands; a connected
-    // 4-core request must fail, fragmented mapping must succeed.
+    // Free cores form disconnected islands smaller than the request: a
+    // connected 4-core request must fail, fragmented mapping must
+    // succeed. The first input is exactly the two 2-core islands; the
+    // second leaves 6 free cores whose largest component (3) is below
+    // the request size, which the similar strategy refutes before it
+    // enumerates a single candidate.
     noc::MeshTopology topo(4, 4);
     TopologyMapper mapper(topo);
-    CoreSet free = core_bit(0) | core_bit(1) | core_bit(14) | core_bit(15);
+    for (const CoreSet& free :
+         {core_bit(0) | core_bit(1) | core_bit(14) | core_bit(15),
+          core_bit(0) | core_bit(1) | core_bit(2) | core_bit(13) |
+              core_bit(14) | core_bit(15)}) {
+        MappingRequest req =
+            mesh_request(2, 2, MappingStrategy::kSimilarTopology);
+        MappingResult r = mapper.map(req, free);
+        EXPECT_FALSE(r.ok);
+        EXPECT_EQ(r.funnel.candidates, 0u);
 
-    MappingRequest req = mesh_request(2, 2, MappingStrategy::kSimilarTopology);
-    MappingResult r = mapper.map(req, free);
-    EXPECT_FALSE(r.ok);
-
-    req.strategy = MappingStrategy::kFragmented;
-    MappingResult fr = mapper.map(req, free);
-    ASSERT_TRUE(fr.ok);
-    std::set<CoreId> used(fr.assignment.begin(), fr.assignment.end());
-    EXPECT_EQ(used.size(), 4u);
-    for (CoreId c : used)
-        EXPECT_TRUE(free.test(c));
+        req.strategy = MappingStrategy::kFragmented;
+        MappingResult fr = mapper.map(req, free);
+        ASSERT_TRUE(fr.ok);
+        std::set<CoreId> used(fr.assignment.begin(), fr.assignment.end());
+        EXPECT_EQ(used.size(), 4u);
+        for (CoreId c : used)
+            EXPECT_TRUE(free.test(c));
+    }
 }
 
 TEST(MapperTest, NotEnoughCoresFails)

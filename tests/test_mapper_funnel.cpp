@@ -117,23 +117,23 @@ TEST(MapperFunnelTest, StageCountersAccount)
     req.strategy = MappingStrategy::kSimilarTopology;
     MappingResult r = mapper.map(req, free_cores);
     ASSERT_TRUE(r.ok);
-    EXPECT_GT(r.funnel_candidates, 0u);
+    EXPECT_GT(r.funnel.candidates, 0u);
     // Every candidate probes the memo exactly once...
-    EXPECT_EQ(r.funnel_candidates,
-              r.funnel_memo_hits + r.funnel_memo_misses);
+    EXPECT_EQ(r.funnel.candidates,
+              r.funnel.memo_hits + r.funnel.memo_misses);
     // ...and every miss is then lower-bound-pruned, certified TED-0, or
     // fully scored (>= because the TED-0 early exit can stop reduction
     // mid-chunk after the probes were already counted).
-    EXPECT_GE(r.funnel_memo_misses, r.funnel_lb_pruned +
-                                        r.funnel_ted0_hits +
-                                        r.funnel_full_ged);
-    EXPECT_GT(r.funnel_full_ged, 0u);
+    EXPECT_GE(r.funnel.memo_misses, r.funnel.lb_pruned +
+                                        r.funnel.ted0_hits +
+                                        r.funnel.full_ged);
+    EXPECT_GT(r.funnel.full_ged, 0u);
 
     // Same request against the same free set: the memo now answers
     // (at least partially) and the decision is unchanged.
     MappingResult again = mapper.map(req, free_cores);
     ASSERT_TRUE(again.ok);
-    EXPECT_GT(again.funnel_memo_hits, 0u);
+    EXPECT_GT(again.funnel.memo_hits, 0u);
     EXPECT_EQ(again.assignment, r.assignment);
     EXPECT_EQ(again.ted, r.ted);
 }
@@ -151,12 +151,12 @@ TEST(MapperFunnelTest, CustomCostsDisableFunnelStages)
     req.ged.node_cost = [](int a, int b) { return a == b ? 0.0 : 2.0; };
     MappingResult r = mapper.map(req, CoreSet::first_n(64));
     ASSERT_TRUE(r.ok);
-    EXPECT_GT(r.funnel_candidates, 0u);
-    EXPECT_GT(r.funnel_full_ged, 0u);
-    EXPECT_EQ(r.funnel_memo_hits, 0u);
-    EXPECT_EQ(r.funnel_memo_misses, 0u);
-    EXPECT_EQ(r.funnel_lb_pruned, 0u);
-    EXPECT_EQ(r.funnel_ted0_hits, 0u);
+    EXPECT_GT(r.funnel.candidates, 0u);
+    EXPECT_GT(r.funnel.full_ged, 0u);
+    EXPECT_EQ(r.funnel.memo_hits, 0u);
+    EXPECT_EQ(r.funnel.memo_misses, 0u);
+    EXPECT_EQ(r.funnel.lb_pruned, 0u);
+    EXPECT_EQ(r.funnel.ted0_hits, 0u);
 }
 
 // ---- GED lower bound / bounded-search contracts -----------------------

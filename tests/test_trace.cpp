@@ -662,13 +662,13 @@ TEST(CollectStatsTest, HypervisorSweepMatchesLegacyCounters)
     EXPECT_EQ(st.get("hyp.setup_cycles", -1),
               static_cast<double>(legacy.setup_cycles.value()));
     EXPECT_EQ(st.get("hyp.funnel.candidates", -1),
-              static_cast<double>(legacy.mapper_funnel_candidates.value()));
+              static_cast<double>(legacy.funnel.candidates));
     EXPECT_EQ(st.get("hyp.funnel.lb_pruned", -1),
-              static_cast<double>(legacy.mapper_lb_pruned.value()));
+              static_cast<double>(legacy.funnel.lb_pruned));
     EXPECT_EQ(st.get("hyp.funnel.memo_hits", -1),
-              static_cast<double>(legacy.mapper_memo_hits.value()));
+              static_cast<double>(legacy.funnel.memo_hits));
     EXPECT_EQ(st.get("hyp.funnel.full_ged", -1),
-              static_cast<double>(legacy.mapper_full_ged.value()));
+              static_cast<double>(legacy.funnel.full_ged));
     EXPECT_EQ(st.get("hyp.audit.total", -1), 3.0);
     EXPECT_EQ(st.get("hyp.free_cores", -1),
               static_cast<double>(hv.num_free_cores()));
