@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <ostream>
 #include <set>
 #include <tuple>
 
@@ -158,6 +159,14 @@ struct PlanCase {
     int stages;
 };
 
+// Value printers keep the parameterized test names stable: gtest's default
+// byte dump would embed the model-name pointer (an ASLR-dependent address)
+// and uninitialised struct padding into every discovered test name.
+void PrintTo(const PlanCase& pc, std::ostream* os)
+{
+    *os << "(" << pc.model << ", " << pc.stages << ")";
+}
+
 class PipelinePlanProperty : public ::testing::TestWithParam<PlanCase> {};
 
 TEST_P(PipelinePlanProperty, ConservationAndEdgeSanity)
@@ -211,6 +220,14 @@ struct CompileCase {
     bool stream;
     bool single_stream;
 };
+
+void PrintTo(const CompileCase& cc, std::ostream* os)
+{
+    *os << "(" << cc.model << ", " << cc.stages << ", "
+        << (cc.comm == runtime::CommMode::kDataflow ? "dataflow" : "uvm-sync")
+        << ", stream=" << cc.stream << ", single_stream=" << cc.single_stream
+        << ")";
+}
 
 class CompiledProgramProperty
     : public ::testing::TestWithParam<CompileCase> {};
