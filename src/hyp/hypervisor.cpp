@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <array>
-#include <iterator>
 
 #include "check/checks.h"
 #include "obs/metrics.h"
@@ -20,25 +19,6 @@ constexpr Addr kVaBase = 0x10000;
 constexpr std::uint64_t kMaxBlock = 16ull << 20;
 /** Smallest buddy block. */
 constexpr std::uint64_t kMinBlock = 64ull << 10;
-
-/**
- * Memory budget for cached confined-route tables. Each table is an
- * n*n next-hop matrix sized to the whole mesh (2 MB at 1024 nodes,
- * 2.6 KB at 36), so the entry cap must scale inversely with mesh
- * size; unreferenced entries are evicted past the cap, tables still
- * referenced by live vNPUs are never dropped.
- */
-constexpr std::size_t kRouteCacheBudgetBytes = 16u << 20;
-
-std::size_t
-route_cache_cap(int num_nodes)
-{
-    std::size_t table_bytes = static_cast<std::size_t>(num_nodes) *
-                              num_nodes * sizeof(std::int16_t);
-    std::size_t cap = kRouteCacheBudgetBytes / std::max<std::size_t>(
-                                                   table_bytes, 1);
-    return std::min<std::size_t>(std::max<std::size_t>(cap, 4), 64);
-}
 
 std::uint64_t
 round_up(std::uint64_t v, std::uint64_t align)
@@ -121,39 +101,16 @@ Hypervisor::try_compact_rt(VmId vm,
     return std::nullopt;
 }
 
-std::shared_ptr<const noc::RouteOverride>
-Hypervisor::confined_routes_for(const CoreSet& region)
+noc::RouteOverride
+Hypervisor::confined_routes_for(const CoreSet& region) const
 {
     VNPU_PROF("hyp.routes");
-    auto it = route_cache_.find(region);
-    if (it != route_cache_.end()) {
-        ++stats_.route_cache_hits;
-        return it->second;
-    }
-    ++stats_.route_cache_misses;
-    const std::size_t cap = route_cache_cap(topo_.num_nodes());
-    // Evict unreferenced tables only until back under the cap, so a
-    // churn working set near the cap keeps most of its entries.
-    // Victim order is the hash-map's: it picks *which* unreferenced
-    // tables are dropped, never affects an admission decision or route
-    // content (only the hit/miss counters on a later re-build).
-    for (auto victim =
-         route_cache_.begin(); // vnpu-lint: allow(unordered-iter)
-         victim != route_cache_.end() && route_cache_.size() >= cap;) {
-        if (victim->second.use_count() == 1) {
-            victim = route_cache_.erase(victim);
-            ++stats_.route_cache_evictions;
-        } else {
-            victim = std::next(victim);
-        }
-    }
-    auto routes = std::make_shared<const noc::RouteOverride>(
-        noc::RouteOverride::build_confined(topo_, region));
-    // Every freshly built table is containment-verified before any VM
-    // can route over it (cache hits re-serve already-verified tables).
+    noc::RouteOverride routes =
+        noc::RouteOverride::build_confined(topo_, region);
+    // Every table is containment-verified before any VM can route
+    // over it.
     VNPU_SANITIZE_BLOCK(
-        check::verify_confined_route(topo_, region, *routes);)
-    route_cache_.emplace(region, routes);
+        check::verify_confined_route(topo_, region, routes);)
     return routes;
 }
 
@@ -277,14 +234,11 @@ Hypervisor::create_provision(const VnpuSpec& spec,
                                                    *rt);
     vnpu->set_mapping_ted(m.ted);
 
-    // 4. NoC isolation: predefine confining directions when the region
-    //    is connected and isolation was requested.
+    // 4. NoC isolation: predefine confining directions when isolation
+    //    was requested (the build rejects a disconnected region).
     CoreSet mask = vnpu->mask();
-    if (spec.noc_isolation) {
-        if (!topo_.to_graph().is_connected_subset(mask))
-            fatal("isolation requested but region is disconnected");
+    if (spec.noc_isolation)
         vnpu->set_confined_routes(confined_routes_for(mask));
-    }
 
     // 5. Memory: buddy blocks -> RTT entries.
     vnpu->set_range_table(build_range_table(vm, spec.memory_bytes));
@@ -366,12 +320,6 @@ Hypervisor::collect_stats(StatSet& out, const std::string& prefix) const
             static_cast<double>(stats_.allocation_failures.value()));
     out.add(prefix + "setup_cycles",
             static_cast<double>(stats_.setup_cycles.value()));
-    out.add(prefix + "route_cache.hits",
-            static_cast<double>(stats_.route_cache_hits.value()));
-    out.add(prefix + "route_cache.misses",
-            static_cast<double>(stats_.route_cache_misses.value()));
-    out.add(prefix + "route_cache.evictions",
-            static_cast<double>(stats_.route_cache_evictions.value()));
     out.add(prefix + "mapper.search_steps",
             static_cast<double>(stats_.mapper_search_steps.value()));
     out.add(prefix + "mapper.budget_exhausted",
@@ -379,8 +327,6 @@ Hypervisor::collect_stats(StatSet& out, const std::string& prefix) const
     for (const auto& [name, field] : kFunnelFields)
         out.add(prefix + "funnel." + name,
                 static_cast<double>(stats_.funnel.*field));
-    out.set(prefix + "route_cache.size",
-            static_cast<double>(route_cache_.size()));
     out.set(prefix + "free_cores", num_free_cores());
     out.set(prefix + "core_utilization", core_utilization());
     out.set(prefix + "audit.retained", static_cast<double>(audit_.size()));

@@ -12,7 +12,6 @@
 #include <memory>
 #include <optional>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "core/controller.h"
@@ -56,9 +55,6 @@ struct HypervisorStats {
     Counter vnpus_destroyed;
     Counter allocation_failures;
     Counter setup_cycles;       ///< Accumulated meta-table config cost.
-    Counter route_cache_hits;   ///< Confined routes reused from cache.
-    Counter route_cache_misses; ///< Confined routes built from scratch.
-    Counter route_cache_evictions; ///< Unreferenced tables dropped at cap.
     Counter mapper_search_steps;    ///< Exact-search placements attempted.
     Counter mapper_budget_exhausted; ///< Exact searches that gave up.
     FunnelCounters funnel; ///< Summed over every create()'s mapping.
@@ -102,7 +98,7 @@ class Hypervisor {
 
     const HypervisorStats& stats() const { return stats_; }
 
-    /** Telemetry sweep: lifecycle, route-cache and funnel counters. */
+    /** Telemetry sweep: lifecycle, mapper and funnel counters. */
     void collect_stats(StatSet& out, const std::string& prefix) const;
     /** Sweep under the installed stats prefix (default "hyp."). */
     void collect_stats(StatSet& out) const
@@ -124,10 +120,6 @@ class Hypervisor {
     /** Ring of recent admission decisions (admitted and rejected). */
     const AdmissionAuditRing& audit_log() const { return audit_; }
     AdmissionAuditRing& audit_log() { return audit_; }
-    /** Confined-route tables currently cached; bounded by a memory
-     *  budget that scales the entry cap inversely with mesh size
-     *  (kRouteCacheBudgetBytes in hypervisor.cpp). */
-    std::size_t route_cache_size() const { return route_cache_.size(); }
     virt::InstVRouter& inst_vrouter() { return ivr_; }
     const TopologyMapper& mapper() const { return mapper_; }
 
@@ -144,13 +136,11 @@ class Hypervisor {
     try_compact_rt(VmId vm, const std::vector<CoreId>& assignment) const;
 
     /**
-     * Confined routes for `region`, built on first use and cached by
-     * region set thereafter: the MIG comparison sweeps allocate the
-     * same regions over and over, and a 1024-node next-hop matrix is
-     * ~2 MB of BFS work per build.
+     * Region-local confined routes for `region`, built per vNPU (the
+     * table is k x k in the region's k cores; nothing is shared).
+     * @throws SimFatal when `region` is disconnected.
      */
-    std::shared_ptr<const noc::RouteOverride>
-    confined_routes_for(const CoreSet& region);
+    noc::RouteOverride confined_routes_for(const CoreSet& region) const;
 
     mem::RangeTable build_range_table(VmId vm, std::uint64_t bytes);
 
@@ -171,9 +161,6 @@ class Hypervisor {
     virt::InstVRouter ivr_;
     mem::BuddyAllocator hbm_;
     CoreSet free_;
-    /** Confined-route tables keyed by region (kept across destroys). */
-    std::unordered_map<CoreSet, std::shared_ptr<const noc::RouteOverride>>
-        route_cache_;
     VmId next_vm_ = 1;
     Cycles last_setup_cost_ = 0;
     std::string stats_prefix_ = "hyp.";

@@ -1,6 +1,7 @@
 #include "noc/network.h"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <ostream>
 
@@ -16,63 +17,71 @@ RouteOverride::build_confined(const MeshTopology& topo, const CoreSet& region)
 {
     const int n = topo.num_nodes();
     RouteOverride ov;
-    ov.nodes_ = n;
-    ov.next_.assign(static_cast<std::size_t>(n) * n,
-                    static_cast<std::int16_t>(kInvalidCore));
+    ov.rank_.assign(static_cast<std::size_t>(n), -1);
 
+    // Rank the region's cores in ascending id order, so the lowest-rank
+    // neighbor is also the lowest-id one and the tie-break is unchanged.
     std::vector<int> nodes;
     nodes.reserve(region.count());
     for (int id : region) {
         VNPU_ASSERT(id < n);
+        ov.rank_[id] = static_cast<std::int16_t>(nodes.size());
         nodes.push_back(id);
     }
+    const int k = static_cast<int>(nodes.size());
+    ov.k_ = k;
+    ov.next_.assign(static_cast<std::size_t>(k) * k,
+                    static_cast<std::int16_t>(kInvalidCore));
 
-    // BFS from each destination over region-internal links; parent
-    // pointers give the next hop toward that destination. The scratch
-    // arrays are reused across destinations so the build allocates a
-    // constant number of times regardless of region size.
-    std::vector<int> dist(n);
+    // Region-internal neighbors of each rank, ascending, -1 padded.
+    std::vector<std::array<int, 4>> adj(nodes.size());
+    for (int r = 0; r < k; ++r) {
+        adj[r].fill(-1);
+        int deg = 0;
+        for (Direction d : {Direction::kEast, Direction::kWest,
+                            Direction::kNorth, Direction::kSouth}) {
+            const int u = topo.neighbor(nodes[r], d);
+            if (u != kInvalidCore && ov.rank_[u] >= 0)
+                adj[r][deg++] = ov.rank_[u];
+        }
+        std::sort(adj[r].begin(), adj[r].begin() + deg);
+    }
+
+    // BFS from each destination over the k region cores; the scratch
+    // arrays are reused across destinations.
+    std::vector<int> dist(nodes.size());
     std::vector<int> queue;
     queue.reserve(nodes.size());
-    for (int dst : nodes) {
+    for (int dst = 0; dst < k; ++dst) {
         std::fill(dist.begin(), dist.end(), -1);
         queue.assign(1, dst);
         dist[dst] = 0;
         for (std::size_t head = 0; head < queue.size(); ++head) {
-            int v = queue[head];
-            for (Direction d : {Direction::kEast, Direction::kWest,
-                                Direction::kNorth, Direction::kSouth}) {
-                int u = topo.neighbor(v, d);
-                if (u == kInvalidCore || !region.test(u))
-                    continue;
-                if (dist[u] == -1) {
+            const int v = queue[head];
+            for (int u : adj[v]) {
+                if (u >= 0 && dist[u] == -1) {
                     dist[u] = dist[v] + 1;
                     queue.push_back(u);
                 }
             }
         }
-        for (int cur : nodes) {
+        for (int cur = 0; cur < k; ++cur) {
             if (cur == dst)
                 continue;
             if (dist[cur] == -1)
                 fatal("route override: region is disconnected between ",
-                      cur, " and ", dst);
+                      nodes[cur], " and ", nodes[dst]);
             // Smallest-id neighbor one step closer to dst.
-            int best = kInvalidCore;
-            for (Direction d : {Direction::kEast, Direction::kWest,
-                                Direction::kNorth, Direction::kSouth}) {
-                int u = topo.neighbor(cur, d);
-                if (u == kInvalidCore || !region.test(u))
-                    continue;
-                if (dist[u] == dist[cur] - 1 &&
-                    (best == kInvalidCore || u < best)) {
+            int best = -1;
+            for (int u : adj[cur]) {
+                if (u >= 0 && dist[u] == dist[cur] - 1) {
                     best = u;
+                    break;
                 }
             }
-            VNPU_ASSERT(best != kInvalidCore);
-            ov.next_[static_cast<std::size_t>(cur) * n + dst] =
-                static_cast<std::int16_t>(best);
-            ++ov.entries_;
+            VNPU_ASSERT(best >= 0);
+            ov.next_[static_cast<std::size_t>(cur) * k + dst] =
+                static_cast<std::int16_t>(nodes[best]);
         }
     }
     return ov;

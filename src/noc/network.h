@@ -16,7 +16,8 @@
  * next-hop functions (no materialized path vector), the wormhole
  * per-packet inner loop is collapsed into a closed-form per-link
  * occupancy update (docs/sim_kernel.md derives it), and `RouteOverride`
- * is a dense next-hop matrix indexed by (current, destination).
+ * is a region-local next-hop matrix indexed by (current, destination)
+ * rank.
  */
 
 #ifndef VNPU_NOC_NETWORK_H
@@ -41,8 +42,11 @@ namespace vnpu::noc {
  * destination) pair inside the region it names the next node on a
  * shortest path that never leaves the region.
  *
- * Stored as a flat `int16_t` next-hop matrix indexed `cur * N + dst`
- * (N = mesh nodes): one confined-route lookup is a single indexed load
+ * Region-local: the k region cores are ranked in ascending id order,
+ * and the table is an N-entry mesh-id -> rank map plus a k x k
+ * `int16_t` next-hop matrix of mesh ids indexed `rank(cur) * k +
+ * rank(dst)` (N = mesh nodes). Host memory is k^2 + N entries, cheap
+ * enough to build one table per vNPU; a lookup is three indexed loads
  * on the hottest path of every isolation experiment.
  */
 class RouteOverride {
@@ -51,28 +55,39 @@ class RouteOverride {
     int
     next_hop(int cur, int dst) const
     {
-        if (static_cast<unsigned>(cur) >= static_cast<unsigned>(nodes_) ||
-            static_cast<unsigned>(dst) >= static_cast<unsigned>(nodes_))
+        const auto n = static_cast<unsigned>(rank_.size());
+        if (static_cast<unsigned>(cur) >= n ||
+            static_cast<unsigned>(dst) >= n)
             return kInvalidCore;
-        return next_[static_cast<std::size_t>(cur) * nodes_ + dst];
+        const int rc = rank_[cur];
+        const int rd = rank_[dst];
+        if (rc < 0 || rd < 0)
+            return kInvalidCore;
+        return next_[static_cast<std::size_t>(rc) * k_ + rd];
     }
 
-    /** Number of stored direction entries (for meta-table sizing). */
-    std::size_t size() const { return entries_; }
+    /** Number of stored direction entries (for meta-table sizing):
+     *  k(k-1), one per ordered pair of distinct region cores. */
+    std::size_t
+    size() const
+    {
+        return static_cast<std::size_t>(k_) * (k_ > 0 ? k_ - 1 : 0);
+    }
 
     /**
      * Build confined shortest-path routing inside `region` via BFS from
-     * every destination. Deterministic: prefers the smallest-id
-     * neighbor among equal-length choices.
-     * @pre `region` induces a connected subgraph of the mesh.
+     * every destination over the region's k cores. Deterministic:
+     * prefers the smallest-id neighbor among equal-length choices.
+     * @throws SimFatal when `region` does not induce a connected
+     *         subgraph of the mesh.
      */
     static RouteOverride build_confined(const MeshTopology& topo,
                                         const CoreSet& region);
 
   private:
-    std::vector<std::int16_t> next_;
-    int nodes_ = 0;
-    std::size_t entries_ = 0;
+    std::vector<std::int16_t> rank_; ///< mesh id -> rank, -1 outside
+    std::vector<std::int16_t> next_; ///< k x k next hops (mesh ids)
+    int k_ = 0;
 };
 
 /** Outcome of a message send. */

@@ -345,7 +345,7 @@ class CoreSet {
         return w_[i];
     }
 
-    // ---- Hashing (map keys: e.g. the hypervisor's route cache) ----------
+    // ---- Hashing (map keys: region-keyed maps) --------------------------
     std::size_t
     hash() const
     {

@@ -36,18 +36,6 @@ VirtualNpu::mask() const
 }
 
 void
-VirtualNpu::set_confined_routes(std::shared_ptr<const noc::RouteOverride> r)
-{
-    confined_ = std::move(r);
-}
-
-const noc::RouteOverride*
-VirtualNpu::confined_routes() const
-{
-    return confined_.get();
-}
-
-void
 VirtualNpu::set_range_table(mem::RangeTable rtt)
 {
     if (!rtt.finalized())

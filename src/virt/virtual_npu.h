@@ -7,8 +7,8 @@
 #ifndef VNPU_VIRT_VIRTUAL_NPU_H
 #define VNPU_VIRT_VIRTUAL_NPU_H
 
-#include <memory>
 #include <optional>
+#include <utility>
 #include <vector>
 
 #include "graph/graph.h"
@@ -47,15 +47,19 @@ class VirtualNpu {
     const RoutingTable& routing_table() const { return rt_; }
 
     // ---- NoC isolation -------------------------------------------------
-    /**
-     * Install confined routing directions (hypervisor). Shared: the
-     * hypervisor caches overrides per region, so several vNPU
-     * generations may reference one table.
-     */
-    void set_confined_routes(std::shared_ptr<const noc::RouteOverride> r);
-    /** Confined routes or nullptr (default DOR). */
-    const noc::RouteOverride* confined_routes() const;
-    bool isolated() const { return confined_ != nullptr; }
+    /** Install confined routing directions (hypervisor). The vNPU owns
+     *  its region-local table. */
+    void set_confined_routes(noc::RouteOverride r)
+    {
+        confined_ = std::move(r);
+    }
+    /** Confined routes or nullptr (default DOR); stable for the vNPU's
+     *  lifetime, so the vRouter and launcher may hold it. */
+    const noc::RouteOverride* confined_routes() const
+    {
+        return confined_ ? &*confined_ : nullptr;
+    }
+    bool isolated() const { return confined_.has_value(); }
 
     // ---- Memory ----------------------------------------------------------
     /** Attach the VM-level RTT image (must be finalized). */
@@ -108,7 +112,7 @@ class VirtualNpu {
     std::vector<CoreId> cores_;
     graph::Graph vtopo_;
     RoutingTable rt_;
-    std::shared_ptr<const noc::RouteOverride> confined_;
+    std::optional<noc::RouteOverride> confined_;
     mem::RangeTable rtt_;
     double bw_cap_ = 0.0;
     int interfaces_ = 0;

@@ -182,9 +182,12 @@ class SeedRouteOverride {
     }
 
   private:
+    // The seed packed `cur << 8 | dst`, which only holds for meshes of
+    // up to 256 nodes; 16 bits per id keeps the same map collision-free
+    // up to CoreSet::kCapacity.
     static std::uint32_t key(int cur, int dst)
     {
-        return static_cast<std::uint32_t>(cur) << 8 |
+        return static_cast<std::uint32_t>(cur) << 16 |
                static_cast<std::uint32_t>(dst);
     }
 

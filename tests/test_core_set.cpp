@@ -3,7 +3,7 @@
  * Unit tests for CoreSet, the fixed-capacity bitset behind every
  * core-region API. Exercises the full 1024-bit range, word boundaries,
  * iteration order, and the hashing/order guarantees the candidate
- * dedup and the hypervisor route cache rely on.
+ * dedup and region-keyed maps rely on.
  */
 
 #include <gtest/gtest.h>

@@ -171,6 +171,52 @@ INSTANTIATE_TEST_SUITE_P(
                (std::get<1>(p.param) ? "Relay" : "Wormhole");
     });
 
+/** Every (cur, dst) in the mesh routes as in the seed's hash map. */
+void
+expect_routes_match_seed(const MeshTopology& topo, const CoreSet& region)
+{
+    const RouteOverride fast = RouteOverride::build_confined(topo, region);
+    const seed::SeedRouteOverride ref =
+        seed::SeedRouteOverride::build_confined(topo, region);
+    ASSERT_EQ(fast.size(), ref.size()) << "region size " << region.count();
+    for (int cur = 0; cur < topo.num_nodes(); ++cur)
+        for (int dst = 0; dst < topo.num_nodes(); ++dst)
+            ASSERT_EQ(fast.next_hop(cur, dst), ref.next_hop(cur, dst))
+                << "cur=" << cur << " dst=" << dst << " region size "
+                << region.count();
+}
+
+/** All cores of the `w` x `h` block anchored at (`x0`, `y0`). */
+CoreSet
+block(const MeshTopology& topo, int x0, int y0, int w, int h)
+{
+    CoreSet s;
+    for (int y = y0; y < y0 + h; ++y)
+        for (int x = x0; x < x0 + w; ++x)
+            s |= core_bit(topo.id_of(x, y));
+    return s;
+}
+
+/** A connected region of `size` cores grown at random from one core. */
+CoreSet
+random_connected_region(const MeshTopology& topo, int size,
+                        seed::SeedLcg& lcg)
+{
+    const int start = static_cast<int>(lcg.next_below(topo.num_nodes()));
+    CoreSet region = core_bit(start);
+    std::vector<int> frontier{start};
+    while (region.count() < size) {
+        const int v = frontier[lcg.next_below(frontier.size())];
+        const int u = topo.neighbor(
+            v, static_cast<noc::Direction>(lcg.next_below(4)));
+        if (u == kInvalidCore || region.test(u))
+            continue;
+        region |= core_bit(u);
+        frontier.push_back(u);
+    }
+    return region;
+}
+
 TEST(GoldenRouteOverrideTest, DenseTableMatchesSeedMap)
 {
     MeshTopology topo(8, 8);
@@ -184,31 +230,27 @@ TEST(GoldenRouteOverrideTest, DenseTableMatchesSeedMap)
             l |= core_bit(topo.id_of(x, 5));
         regions.push_back(l);
     }
-    {
-        CoreSet rect;
-        for (int y = 2; y < 6; ++y)
-            for (int x = 3; x < 8; ++x)
-                rect |= core_bit(topo.id_of(x, y));
-        regions.push_back(rect);
-    }
-    {
-        CoreSet row;
-        for (int x = 0; x < 8; ++x)
-            row |= core_bit(topo.id_of(x, 1));
-        regions.push_back(row);
-    }
+    regions.push_back(block(topo, 3, 2, 5, 4));
+    regions.push_back(block(topo, 0, 1, 8, 1));
     regions.push_back(CoreSet::first_n(64)); // all 64 cores
+    for (const CoreSet& region : regions)
+        expect_routes_match_seed(topo, region);
 
-    for (const CoreSet& region : regions) {
-        RouteOverride fast = RouteOverride::build_confined(topo, region);
-        seed::SeedRouteOverride ref =
-            seed::SeedRouteOverride::build_confined(topo, region);
-        EXPECT_EQ(fast.size(), ref.size());
-        for (int cur = 0; cur < topo.num_nodes(); ++cur)
-            for (int dst = 0; dst < topo.num_nodes(); ++dst)
-                EXPECT_EQ(fast.next_hop(cur, dst), ref.next_hop(cur, dst))
-                    << "cur=" << cur << " dst=" << dst;
-    }
+    // 1024 nodes: fixed shapes, then seeded random connected regions.
+    MeshTopology big(32, 32);
+    std::vector<CoreSet> big_regions;
+    big_regions.push_back(core_bit(big.id_of(17, 9))); // single core
+    // 10x10 block with a 4x4 hole: routes must go around it.
+    big_regions.push_back(block(big, 3, 5, 10, 10).andnot(
+        block(big, 6, 8, 4, 4)));
+    // 374 cores, all ids and ranks above 255.
+    big_regions.push_back(block(big, 4, 10, 17, 22));
+    big_regions.push_back(CoreSet::first_n(1024)); // all 1024 cores
+    seed::SeedLcg lcg(0x5EEDull);
+    for (int size : {2, 7, 33, 150, 400})
+        big_regions.push_back(random_connected_region(big, size, lcg));
+    for (const CoreSet& region : big_regions)
+        expect_routes_match_seed(big, region);
 }
 
 TEST(GoldenRouteOverrideTest, ConfinedSendsMatchSeed)

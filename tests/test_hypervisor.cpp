@@ -7,6 +7,7 @@
 
 #include <algorithm>
 #include <set>
+#include <string>
 #include <vector>
 
 #include "check/checks.h"
@@ -311,67 +312,14 @@ TEST(HypervisorTest, FragmentationSweepOn1024CoreMesh)
     }
 }
 
-TEST(HypervisorTest, RouteCacheHitsAcrossMigComparisonSweep)
+TEST(HypervisorTest, RegionTablesAreRebuiltPerVmAndStayStable)
 {
-    // The MIG comparison sweeps re-create identical vNPUs run after
-    // run; the confined-route tables must come from the cache after
-    // the first round instead of re-running the BFS build.
-    Machine m(sim_cfg());
-    Hypervisor hv(m.config(), m.topology(), m.controller());
-
-    const noc::RouteOverride* first_round[2] = {nullptr, nullptr};
-    const int rounds = 4;
-    for (int round = 0; round < rounds; ++round) {
-        VnpuSpec sa, sb;
-        sa.num_cores = 12;
-        sb.num_cores = 24;
-        virt::VirtualNpu& va = hv.create(sa);
-        virt::VirtualNpu& vb = hv.create(sb);
-        ASSERT_TRUE(va.isolated() && vb.isolated());
-        if (round == 0) {
-            first_round[0] = va.confined_routes();
-            first_round[1] = vb.confined_routes();
-        } else {
-            // Identical regions -> the very same cached tables.
-            EXPECT_EQ(va.confined_routes(), first_round[0]);
-            EXPECT_EQ(vb.confined_routes(), first_round[1]);
-        }
-        VmId vma = va.vm(), vmb = vb.vm();
-        hv.destroy(vma);
-        hv.destroy(vmb);
-    }
-    EXPECT_EQ(hv.stats().route_cache_misses.value(), 2u);
-    EXPECT_EQ(hv.stats().route_cache_hits.value(), 2u * (rounds - 1));
-}
-
-TEST(HypervisorTest, RouteCacheEvictsUnreferencedTables)
-{
-    // 70 distinct single-tenant regions churned through an 80-node
-    // chip: every table is unreferenced after its destroy, so the
-    // cache must stay bounded at the eviction cap (64 entries at this
-    // mesh size) instead of retaining one n*n matrix per region ever
-    // seen.
-    Machine m(mesh_cfg(16, 5));
-    Hypervisor hv(m.config(), m.topology(), m.controller());
-    for (int k = 1; k <= 70; ++k) {
-        VnpuSpec spec;
-        spec.num_cores = k;
-        spec.max_candidates = 16;
-        virt::VirtualNpu& v = hv.create(spec);
-        hv.destroy(v.vm());
-    }
-    EXPECT_EQ(hv.stats().route_cache_misses.value(), 70u);
-    EXPECT_LE(hv.route_cache_size(), 64u); // evict-before-insert cap
-}
-
-TEST(HypervisorTest, RouteCacheServesRegionTablesAcrossVmIdentities)
-{
-    // Fleet churn re-creates the *same region* under a *different VM
-    // id* millions of times. The cache is keyed by region CoreSet and
-    // the table holds only region-internal next hops — nothing per-VM
-    // — so a hit across destroy/re-create is safe by construction.
-    // Pin that: the re-created VM gets the cached table, the table
-    // passes full containment verification, and the ids differ.
+    // Each vNPU owns its region-local confined-route table. Fleet churn
+    // re-creates the *same region* under a *different VM id*: the fresh
+    // table must pass containment verification and route hop for hop
+    // like its predecessor. A live VM's table (the pointer the vRouter
+    // and launcher hold, and its contents) must survive other tenants'
+    // creates and destroys.
     Machine m(sim_cfg());
     Hypervisor hv(m.config(), m.topology(), m.controller());
 
@@ -380,75 +328,89 @@ TEST(HypervisorTest, RouteCacheServesRegionTablesAcrossVmIdentities)
     virt::VirtualNpu& v1 = hv.create(spec);
     const VmId id1 = v1.vm();
     const CoreSet region = v1.mask();
-    const noc::RouteOverride* table = v1.confined_routes();
-    ASSERT_NE(table, nullptr);
+    ASSERT_NE(v1.confined_routes(), nullptr);
+    const noc::RouteOverride before = *v1.confined_routes();
     hv.destroy(id1);
 
     virt::VirtualNpu& v2 = hv.create(spec);
-    EXPECT_NE(v2.vm(), id1); // fresh VM identity...
+    EXPECT_NE(v2.vm(), id1);
     EXPECT_EQ(v2.mask(), region);
-    EXPECT_EQ(v2.confined_routes(), table); // ...same cached table
+    ASSERT_NE(v2.confined_routes(), nullptr);
     check::verify_confined_route(m.topology(), v2.mask(),
                                  *v2.confined_routes());
-    EXPECT_EQ(hv.stats().route_cache_hits.value(), 1u);
-    EXPECT_EQ(hv.stats().route_cache_misses.value(), 1u);
+    const int n = m.topology().num_nodes();
+    auto expect_same_hops = [&](const noc::RouteOverride& t) {
+        EXPECT_EQ(t.size(), before.size());
+        for (int cur = 0; cur < n; ++cur)
+            for (int dst = 0; dst < n; ++dst)
+                ASSERT_EQ(t.next_hop(cur, dst), before.next_hop(cur, dst))
+                    << "cur=" << cur << " dst=" << dst;
+    };
+    expect_same_hops(*v2.confined_routes());
+
+    // Churn other tenants around the live one.
+    const noc::RouteOverride* live = v2.confined_routes();
+    std::vector<VmId> others;
+    for (int k : {2, 5, 3}) {
+        VnpuSpec s;
+        s.num_cores = k;
+        others.push_back(hv.create(s).vm());
+    }
+    for (VmId vm : others)
+        hv.destroy(vm);
+    ASSERT_EQ(hv.find(v2.vm()), &v2);
+    EXPECT_EQ(v2.confined_routes(), live);
+    expect_same_hops(*live);
     hv.destroy(v2.vm());
 }
 
-TEST(HypervisorTest, RouteCacheEvictionBoundUnderChurnAt1024Cores)
+TEST(HypervisorTest, DisconnectedIsolatedRegionIsRejectedAndAudited)
 {
-    // At 32x32 every cached table is a 1024x1024 next-hop matrix
-    // (~2 MiB), so the 16 MiB budget caps the cache at 8 entries.
-    // Churning 14 distinct regions through create/destroy must evict
-    // — not retain one matrix per region ever seen — and the eviction
-    // count must ride the collect_stats sweep for fleet telemetry.
-    Machine m(mesh_cfg(32, 32));
+    // Straightforward placement takes the lowest-id free cores whether
+    // or not they touch. On a checkerboard free set an isolated 2-core
+    // request lands on two non-adjacent cores, and the confined-route
+    // build must reject it: SimFatal, an audited error, and no change
+    // to the free set or the live VMs.
+    Machine m(sim_cfg());
     Hypervisor hv(m.config(), m.topology(), m.controller());
-    for (int k = 1; k <= 14; ++k) {
-        VnpuSpec spec;
-        spec.num_cores = k; // distinct region per k
-        spec.strategy = MappingStrategy::kExact;
-        virt::VirtualNpu& v = hv.create(spec);
-        hv.destroy(v.vm());
-    }
-    EXPECT_EQ(hv.stats().route_cache_misses.value(), 14u);
-    EXPECT_LE(hv.route_cache_size(), 8u);
-    EXPECT_GE(hv.stats().route_cache_evictions.value(), 6u);
-
-    StatSet st;
-    hv.collect_stats(st, "hyp.");
-    EXPECT_EQ(st.get("hyp.route_cache.evictions", -1),
-              static_cast<double>(
-                  hv.stats().route_cache_evictions.value()));
-    EXPECT_EQ(st.get("hyp.route_cache.hits", -1), 0.0);
-    EXPECT_EQ(st.get("hyp.route_cache.misses", -1), 14.0);
-}
-
-TEST(HypervisorTest, RouteCacheNeverEvictsLiveTables)
-{
-    // Ten concurrent 2-core tenants on a 32x32 mesh push the cache
-    // past its 8-entry budget, but every table is still referenced by
-    // a live VM: eviction must skip them all (a dropped live table
-    // would be rebuilt on the next admission, violating pointer
-    // stability that RouteCacheHitsAcrossMigComparisonSweep pins).
-    Machine m(mesh_cfg(32, 32));
-    Hypervisor hv(m.config(), m.topology(), m.controller());
+    const noc::MeshTopology& topo = m.topology();
     std::vector<VmId> vms;
-    std::vector<const noc::RouteOverride*> tables;
-    for (int i = 0; i < 10; ++i) {
-        VnpuSpec spec;
-        spec.num_cores = 2;
-        spec.strategy = MappingStrategy::kExact;
-        virt::VirtualNpu& v = hv.create(spec);
+    for (int id = 0; id < topo.num_nodes(); ++id) {
+        VnpuSpec one;
+        one.num_cores = 1;
+        one.strategy = MappingStrategy::kStraightforward;
+        virt::VirtualNpu& v = hv.create(one);
+        ASSERT_EQ(v.cores()[0], id);
         vms.push_back(v.vm());
-        tables.push_back(v.confined_routes());
     }
-    EXPECT_EQ(hv.route_cache_size(), 10u); // over budget, all live
-    EXPECT_EQ(hv.stats().route_cache_evictions.value(), 0u);
-    for (std::size_t i = 0; i < vms.size(); ++i) {
-        EXPECT_EQ(hv.find(vms[i])->confined_routes(), tables[i]);
-        hv.destroy(vms[i]);
+    std::vector<VmId> live;
+    for (int id = 0; id < topo.num_nodes(); ++id) {
+        if ((topo.x_of(id) + topo.y_of(id)) % 2 == 0)
+            hv.destroy(vms[id]);
+        else
+            live.push_back(vms[id]);
     }
+    const int free_before = hv.num_free_cores();
+    ASSERT_EQ(free_before, topo.num_nodes() / 2);
+    const std::uint64_t audited = hv.audit_log().total_pushed();
+
+    VnpuSpec pair;
+    pair.num_cores = 2;
+    pair.strategy = MappingStrategy::kStraightforward;
+    pair.noc_isolation = true;
+    EXPECT_THROW(hv.create(pair), SimFatal);
+
+    ASSERT_EQ(hv.audit_log().total_pushed(), audited + 1);
+    const AdmissionAuditEntry& e =
+        hv.audit_log().at(hv.audit_log().size() - 1);
+    EXPECT_FALSE(e.admitted);
+    EXPECT_NE(e.error.find("disconnected"), std::string::npos) << e.error;
+    EXPECT_EQ(hv.num_free_cores(), free_before);
+    EXPECT_EQ(hv.stats().vnpus_created.value() -
+                  hv.stats().vnpus_destroyed.value(),
+              live.size());
+    for (VmId vm : live)
+        EXPECT_NE(hv.find(vm), nullptr);
 }
 
 // ---- MIG baseline ------------------------------------------------------------
