@@ -312,14 +312,25 @@ TEST(HypervisorTest, FragmentationSweepOn1024CoreMesh)
     }
 }
 
-TEST(HypervisorTest, RegionTablesAreRebuiltPerVmAndStayStable)
+// Every (cur, dst) next hop of `t` equals that of `want`.
+void expect_same_hops(const noc::MeshTopology& topo,
+                      const noc::RouteOverride& t,
+                      const noc::RouteOverride& want)
+{
+    EXPECT_EQ(t.size(), want.size());
+    const int n = topo.num_nodes();
+    for (int cur = 0; cur < n; ++cur)
+        for (int dst = 0; dst < n; ++dst)
+            ASSERT_EQ(t.next_hop(cur, dst), want.next_hop(cur, dst))
+                << "cur=" << cur << " dst=" << dst;
+}
+
+TEST(HypervisorTest, RouteCacheServesRegionTablesAcrossVmIdentities)
 {
     // Each vNPU owns its region-local confined-route table. Fleet churn
     // re-creates the *same region* under a *different VM id*: the fresh
     // table must pass containment verification and route hop for hop
-    // like its predecessor. A live VM's table (the pointer the vRouter
-    // and launcher hold, and its contents) must survive other tenants'
-    // creates and destroys.
+    // like its predecessor's.
     Machine m(sim_cfg());
     Hypervisor hv(m.config(), m.topology(), m.controller());
 
@@ -338,18 +349,24 @@ TEST(HypervisorTest, RegionTablesAreRebuiltPerVmAndStayStable)
     ASSERT_NE(v2.confined_routes(), nullptr);
     check::verify_confined_route(m.topology(), v2.mask(),
                                  *v2.confined_routes());
-    const int n = m.topology().num_nodes();
-    auto expect_same_hops = [&](const noc::RouteOverride& t) {
-        EXPECT_EQ(t.size(), before.size());
-        for (int cur = 0; cur < n; ++cur)
-            for (int dst = 0; dst < n; ++dst)
-                ASSERT_EQ(t.next_hop(cur, dst), before.next_hop(cur, dst))
-                    << "cur=" << cur << " dst=" << dst;
-    };
-    expect_same_hops(*v2.confined_routes());
+    expect_same_hops(m.topology(), *v2.confined_routes(), before);
+    hv.destroy(v2.vm());
+}
 
-    // Churn other tenants around the live one.
-    const noc::RouteOverride* live = v2.confined_routes();
+TEST(HypervisorTest, RouteCacheNeverEvictsLiveTables)
+{
+    // A live VM's table (the pointer the vRouter and launcher hold, and
+    // its contents) must survive other tenants' creates and destroys.
+    Machine m(sim_cfg());
+    Hypervisor hv(m.config(), m.topology(), m.controller());
+
+    VnpuSpec spec;
+    spec.num_cores = 12;
+    virt::VirtualNpu& v = hv.create(spec);
+    const noc::RouteOverride* live = v.confined_routes();
+    ASSERT_NE(live, nullptr);
+    const noc::RouteOverride before = *live;
+
     std::vector<VmId> others;
     for (int k : {2, 5, 3}) {
         VnpuSpec s;
@@ -358,10 +375,11 @@ TEST(HypervisorTest, RegionTablesAreRebuiltPerVmAndStayStable)
     }
     for (VmId vm : others)
         hv.destroy(vm);
-    ASSERT_EQ(hv.find(v2.vm()), &v2);
-    EXPECT_EQ(v2.confined_routes(), live);
-    expect_same_hops(*live);
-    hv.destroy(v2.vm());
+    ASSERT_EQ(hv.find(v.vm()), &v);
+    EXPECT_EQ(v.confined_routes(), live);
+    check::verify_confined_route(m.topology(), v.mask(), *live);
+    expect_same_hops(m.topology(), *live, before);
+    hv.destroy(v.vm());
 }
 
 TEST(HypervisorTest, DisconnectedIsolatedRegionIsRejectedAndAudited)
