@@ -6,7 +6,8 @@
  * into the simulation kernel, the NoC, and the hypervisor: per-link
  * occupancy cross-checked against the seed's iterative wormhole model,
  * FIFO-within-tick sequence auditing in the event queue, pairwise
- * CoreSet disjointness across live VMs, and confined-route containment
+ * CoreSet disjointness across live VMs, confined-route containment,
+ * and fleet conservation after every decision pass
  * (docs/static_analysis.md, "VNPU_SANITIZE").
  *
  * When the option is off — every release and default build — the
@@ -54,6 +55,7 @@ struct CheckCounters {
     std::uint64_t noc_sends = 0;          ///< Cross-checked send walks.
     std::uint64_t route_tables = 0;       ///< Containment-verified tables.
     std::uint64_t vm_partitions = 0;      ///< Disjointness sweeps.
+    std::uint64_t fleet_passes = 0;       ///< Conservation-checked passes.
 };
 
 CheckCounters& counters();

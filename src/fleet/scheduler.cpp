@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstring>
 
+#include "check/check.h"
 #include "graph/graph.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -66,8 +67,10 @@ FleetSimulator::FleetSimulator(const FleetConfig& cfg)
         total_cores_ += devices_.back()->num_cores();
     }
     jitter_log_.resize(devices_.size());
-    if (cfg_.max_arrivals > 0 && !arrivals_.exhausted())
-        next_arrival_ = arrivals_.next();
+    if (more_arrivals()) {
+        const FleetRequest r = arrivals_.next();
+        queue_.schedule(r.arrival, [this, r] { arrive(r); });
+    }
 
     // Ride an installed metrics sampler: the fleet is the "machine"
     // (it owns simulated time); the device hypervisors registered
@@ -78,19 +81,24 @@ FleetSimulator::FleetSimulator(const FleetConfig& cfg)
             [](std::vector<obs::LinkRecord>&) {},
             [this] { return stats_.admission_wait; });
     }
+    // The fleet owns simulated time: its queue stamps the admission
+    // spans and destroy instants of the device hypervisors.
+    obs::set_sim_clock(&queue_);
 }
 
 FleetSimulator::~FleetSimulator()
 {
     if (auto* m = obs::metrics())
-        m->detach_machine(this, now_);
+        m->detach_machine(this, now());
+    obs::clear_sim_clock(&queue_);
 }
 
 // ---- Time integrals ------------------------------------------------------
 
 void
-FleetSimulator::advance_integrals(Tick t)
+FleetSimulator::advance_integrals()
 {
+    const Tick t = now();
     if (t <= last_integral_t_)
         return;
     const double dt = static_cast<double>(t - last_integral_t_);
@@ -100,20 +108,10 @@ FleetSimulator::advance_integrals(Tick t)
 }
 
 void
-FleetSimulator::note_used_delta(Tick t, int delta_cores)
+FleetSimulator::note_used_delta(int delta_cores)
 {
-    advance_integrals(t);
     used_cores_ += delta_cores;
     used_peak_ = std::max(used_peak_, used_cores_);
-}
-
-void
-FleetSimulator::note_queue_delta(Tick t, int delta)
-{
-    advance_integrals(t);
-    if (delta > 0)
-        queue_peak_ = std::max(
-            queue_peak_, pending_.size() + static_cast<std::size_t>(delta));
 }
 
 // ---- Request plumbing ----------------------------------------------------
@@ -143,77 +141,108 @@ FleetSimulator::migration_cost(int cores) const
 
 // ---- Event loop ----------------------------------------------------------
 
-bool
-FleetSimulator::step()
-{
-    // Next event = min(next arrival, next departure, head timeout).
-    Tick t = kTickMax;
-    if (next_arrival_)
-        t = std::min(t, next_arrival_->arrival);
-    while (!departures_.empty() &&
-           live_.find(departures_.top().second) == live_.end())
-        departures_.pop(); // preempted tenants leave stale entries
-    if (!departures_.empty())
-        t = std::min(t, departures_.top().first);
-    if (!pending_.empty())
-        t = std::min(t, pending_.front().req.arrival + cfg_.queue_timeout);
-
-    if (t == kTickMax)
-        return false; // every request decided, every tenant departed
-
-    advance_integrals(t);
-    now_ = std::max(now_, t);
-    process_departures(t);
-    absorb_arrivals(t);
-    drain_queue(t);
-    return true;
-}
-
 void
-FleetSimulator::run()
+FleetSimulator::arrive(FleetRequest r)
 {
-    while (step()) {
-        if (auto* m = obs::metrics())
-            m->on_tick(now_);
-    }
-}
-
-void
-FleetSimulator::absorb_arrivals(Tick t)
-{
-    while (next_arrival_ && next_arrival_->arrival <= t) {
-        note_queue_delta(t, 1);
-        pending_.push_back(Queued{*next_arrival_, false});
+    advance_integrals();
+    // Same-tick arrivals join here rather than as later events of this
+    // tick, which could land behind an already queued decision pass.
+    for (;;) {
+        enqueue(Queued{r, false});
         ++stats_.arrivals;
-        next_arrival_.reset();
-        if (arrivals_.generated() < cfg_.max_arrivals &&
-            !arrivals_.exhausted())
-            next_arrival_ = arrivals_.next();
+        if (!more_arrivals())
+            break;
+        r = arrivals_.next();
+        if (r.arrival > now()) {
+            queue_.schedule(r.arrival, [this, r] { arrive(r); });
+            break;
+        }
     }
+    schedule_pass();
 }
 
 void
-FleetSimulator::process_departures(Tick t)
+FleetSimulator::enqueue(const Queued& q)
 {
-    while (!departures_.empty() && departures_.top().first <= t) {
-        const auto [expiry, id] = departures_.top();
-        departures_.pop();
-        auto it = live_.find(id);
-        if (it == live_.end())
-            continue; // preempted: tenant went back to the queue
-        const Tenant ten = it->second;
-        FleetDevice& dev = *devices_[static_cast<std::size_t>(ten.device)];
-        const int cores = ten.width * ten.height;
-        dev.hypervisor().destroy(ten.vm);
-        note_used_delta(t, -cores);
-        VNPU_TRACE(emit_instant(
-            "fleet.depart", "fleet", expiry, obs::kTrackFleet,
-            {obs::arg("req", id), obs::arg("dev", ten.device),
-             obs::arg("vm", static_cast<std::int64_t>(ten.vm)),
-             obs::arg("cores", cores)}));
-        live_.erase(it);
-        capacity_dirty_ = true;
-    }
+    pending_.push_back(q);
+    queue_peak_ = std::max(queue_peak_, pending_.size());
+    queue_.schedule(q.req.arrival + cfg_.queue_timeout,
+                    [this] { schedule_pass(); });
+}
+
+void
+FleetSimulator::depart(std::uint64_t request_id, Tick expiry)
+{
+    auto it = live_.find(request_id);
+    // A preempted tenant left early (and may be live again, with a
+    // later expiry, after re-admission).
+    if (it == live_.end() || it->second.expiry != expiry)
+        return;
+    advance_integrals();
+    const Tenant ten = it->second;
+    FleetDevice& dev = *devices_[static_cast<std::size_t>(ten.device)];
+    const int cores = ten.width * ten.height;
+    dev.hypervisor().destroy(ten.vm);
+    note_used_delta(-cores);
+    VNPU_TRACE(emit_instant(
+        "fleet.depart", "fleet", expiry, obs::kTrackFleet,
+        {obs::arg("req", request_id), obs::arg("dev", ten.device),
+         obs::arg("vm", static_cast<std::int64_t>(ten.vm)),
+         obs::arg("cores", cores)}));
+    live_.erase(it);
+    capacity_dirty_ = true;
+    schedule_pass();
+}
+
+void
+FleetSimulator::schedule_pass()
+{
+    if (pass_scheduled_)
+        return;
+    pass_scheduled_ = true;
+    queue_.schedule(now(), [this] { decide(); });
+}
+
+void
+FleetSimulator::decide()
+{
+    pass_scheduled_ = false;
+    advance_integrals();
+    drain_queue(now());
+    VNPU_SANITIZE_BLOCK({
+        // Fleet conservation: every arrival is decided or still queued
+        // for the first time, and the fleet, its tenants and its
+        // devices agree on how many cores are in use.
+        std::uint64_t first_time = 0;
+        for (const Queued& q : pending_)
+            first_time += q.requeued ? 0 : 1;
+        VNPU_INVARIANT(stats_.arrivals.value() ==
+                           stats_.admitted.value() +
+                               stats_.rejected.value() + first_time,
+                       "fleet conservation: arrivals=",
+                       stats_.arrivals.value(), " admitted=",
+                       stats_.admitted.value(), " rejected=",
+                       stats_.rejected.value(), " queued=", first_time);
+        int tenant_cores = 0;
+        for (const auto& [id, ten] : live_)
+            tenant_cores += ten.width * ten.height;
+        int device_cores = 0;
+        for (const auto& devp : devices_)
+            device_cores += devp->num_cores() - devp->free_cores();
+        VNPU_INVARIANT(used_cores_ == tenant_cores &&
+                           tenant_cores == device_cores &&
+                           device_cores <= total_cores_,
+                       "fleet core accounting: used=", used_cores_,
+                       " tenants=", tenant_cores, " devices=",
+                       device_cores, " total=", total_cores_);
+        ++check::counters().fleet_passes;
+    })
+    // Run end: drop the leftover patience wakes of requests decided
+    // before their deadline, so now() (the makespan) and the integrals'
+    // horizon stay at this last real event.
+    if (pending_.empty() && live_.empty() && !more_arrivals() &&
+        stats_.arrivals.value() == arrivals_.generated())
+        queue_.clear();
 }
 
 void
@@ -379,7 +408,7 @@ FleetSimulator::admit(Tick t, const Queued& q, const Placement& p,
     const Tick done = start + service + migration_wait;
 
     const int cores = q.req.cores();
-    note_used_delta(t, cores);
+    note_used_delta(cores);
 
     Tenant ten;
     ten.request_id = q.req.id;
@@ -390,7 +419,10 @@ FleetSimulator::admit(Tick t, const Queued& q, const Placement& p,
     ten.vm = vm.vm();
     ten.expiry = done + q.req.lifetime;
     live_[q.req.id] = ten;
-    departures_.emplace(ten.expiry, q.req.id);
+    queue_.schedule(ten.expiry, [this, id = ten.request_id,
+                                 expiry = ten.expiry] {
+        depart(id, expiry);
+    });
     capacity_dirty_ = true; // the create reshaped a free set
 
     if (q.requeued)
@@ -430,6 +462,8 @@ FleetSimulator::admit(Tick t, const Queued& q, const Placement& p,
 void
 FleetSimulator::reject(Tick t, const Queued& q)
 {
+    if (q.requeued)
+        return; // a preempted tenant was decided when first admitted
     FleetDecision d;
     d.request_id = q.req.id;
     d.arrival = q.req.arrival;
@@ -609,7 +643,7 @@ FleetSimulator::execute_defrag(Tick t, const DefragPlan& plan,
     for (const VictimMove& mv : plan.moves) {
         Tenant& ten = live_.at(mv.request_id);
         home.hypervisor().destroy(ten.vm);
-        note_used_delta(t, -(ten.width * ten.height));
+        note_used_delta(-(ten.width * ten.height));
         moved.push_back(ten);
         live_.erase(mv.request_id);
     }
@@ -639,9 +673,8 @@ FleetSimulator::execute_defrag(Tick t, const DefragPlan& plan,
                  obs::arg("strategy", to_string(mv.strategy))}));
             ten.device = mv.to_device;
             ten.vm = nv.vm();
-            note_used_delta(t, cores);
+            note_used_delta(cores);
             live_[ten.request_id] = ten;
-            departures_.emplace(ten.expiry, ten.request_id);
         } catch (const SimFatal&) {
             // The verified plan failed anyway (should not happen): the
             // tenant is preempted back into the queue with its
@@ -653,8 +686,7 @@ FleetSimulator::execute_defrag(Tick t, const DefragPlan& plan,
             back.height = ten.height;
             back.lifetime = ten.expiry > t ? ten.expiry - t : 1;
             back.tenant_class = ten.tenant_class;
-            note_queue_delta(t, 1);
-            pending_.push_back(Queued{back, true});
+            enqueue(Queued{back, true});
             ++stats_.preemptions;
         }
     }

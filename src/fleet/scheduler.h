@@ -5,14 +5,21 @@
  * admission queue, inter-device placement policies, and vNPU
  * migration / defragmentation (docs/fleet.md).
  *
- * The simulator advances over three event kinds — arrivals,
- * departures, and queue-head patience timeouts — strictly in tick
- * order (departures before arrivals at equal ticks, both before
- * admission decisions). Requests queue FIFO with head-of-line
- * blocking: the head is placed as soon as any device can host it,
- * optionally after a defragmentation pass migrates small tenants to
- * carve out an exact region; requests whose patience runs out are
- * rejected. Every "can this free set host that request?" question,
+ * The simulator runs on its own `EventQueue`, which is also the sim
+ * clock that stamps the hypervisor `admission` spans and `destroy`
+ * instants it causes. Arrivals, departures and per-request patience
+ * deadlines are events, and each one only queues the tick's single
+ * decision pass behind itself: every departure and arrival of tick t
+ * precedes t's decision, and their order within the tick does not
+ * matter because they touch disjoint state. Requests queue FIFO with
+ * head-of-line blocking: the head is placed as soon as any device can
+ * host it, optionally after a defragmentation pass migrates small
+ * tenants to carve out an exact region; requests whose patience runs
+ * out are rejected. Once nothing is queued, live or still to arrive,
+ * the pass clears the queue, so the leftover patience wakes of
+ * requests decided early cannot move the makespan.
+ *
+ * Every "can this free set host that request?" question,
  * real or hypothetical, is a `TopologyMapper::map` call on the
  * request `hyp::request_for` derives from the tenant's VnpuSpec: the
  * mapper proves exact grid misses and connected-size misses cheaply,
@@ -31,11 +38,8 @@
 
 #include <cstdint>
 #include <deque>
-#include <functional>
 #include <map>
 #include <memory>
-#include <optional>
-#include <queue>
 #include <string>
 #include <utility>
 #include <vector>
@@ -44,6 +48,7 @@
 #include "fleet/device.h"
 #include "hyp/topology_mapper.h"
 #include "sim/config.h"
+#include "sim/event_queue.h"
 #include "sim/stats.h"
 #include "sim/types.h"
 
@@ -144,18 +149,20 @@ class FleetSimulator {
     FleetSimulator(const FleetSimulator&) = delete;
     FleetSimulator& operator=(const FleetSimulator&) = delete;
 
-    /** Process the next event; false once every arrival is decided. */
-    bool step();
+    /** Run the next event (an arrival, departure, patience deadline or
+     *  decision pass); false once every arrival is decided and every
+     *  tenant has departed. */
+    bool step() { return queue_.step(); }
 
     /** Run to completion (every generated request decided). */
-    void run();
+    void run() { queue_.run(); }
 
     const FleetConfig& config() const { return cfg_; }
     int num_devices() const { return static_cast<int>(devices_.size()); }
     FleetDevice& device(int i) { return *devices_.at(i); }
     const FleetDevice& device(int i) const { return *devices_.at(i); }
 
-    Tick now() const { return now_; }
+    Tick now() const { return queue_.now(); }
     std::size_t queue_depth() const { return pending_.size(); }
     std::size_t live_tenants() const { return live_.size(); }
 
@@ -243,13 +250,27 @@ class FleetSimulator {
     hyp::VnpuSpec vnpu_spec(int width, int height,
                             hyp::MappingStrategy s) const;
 
-    /** Advance the utilization / queue-depth integrals to `t`. */
-    void advance_integrals(Tick t);
-    void note_used_delta(Tick t, int delta_cores);
-    void note_queue_delta(Tick t, int delta);
+    /** Advance the utilization / queue-depth integrals to now(). */
+    void advance_integrals();
+    void note_used_delta(int delta_cores);
 
-    void absorb_arrivals(Tick t);
-    void process_departures(Tick t);
+    // ---- Events (each runs at now()) -----------------------------------
+    /** Queue `r` and every later request arriving this same tick. */
+    void arrive(FleetRequest r);
+    /** Tenant `request_id` leaves, unless it was preempted since. */
+    void depart(std::uint64_t request_id, Tick expiry);
+    /** Queue this tick's decision pass, once. */
+    void schedule_pass();
+    /** The decision pass: reject expired requests, place the queue. */
+    void decide();
+
+    bool more_arrivals() const
+    {
+        return arrivals_.generated() < cfg_.max_arrivals &&
+               !arrivals_.exhausted();
+    }
+    /** Append `q` to the queue and wake a pass at its deadline. */
+    void enqueue(const Queued& q);
     void expire_timeouts(Tick t);
     void drain_queue(Tick t);
 
@@ -280,18 +301,11 @@ class FleetSimulator {
     ArrivalProcess arrivals_;
     std::vector<std::unique_ptr<FleetDevice>> devices_;
 
-    Tick now_ = 0;
-    /** Next undelivered arrival (generated one ahead); empty once
-     *  max_arrivals is reached or the trace is exhausted. */
-    std::optional<FleetRequest> next_arrival_;
+    /** The fleet's clock and event loop. */
+    EventQueue queue_;
+    bool pass_scheduled_ = false; ///< A decision pass is queued at now().
     std::deque<Queued> pending_;
     std::map<std::uint64_t, Tenant> live_; ///< Ordered: victim scans.
-    /** Departure min-heap of (expiry, request id); entries whose id is
-     *  no longer live (preempted tenants) are skipped lazily. */
-    std::priority_queue<std::pair<Tick, std::uint64_t>,
-                        std::vector<std::pair<Tick, std::uint64_t>>,
-                        std::greater<>>
-        departures_;
 
     /** The serial admission scheduler frees up at this tick. */
     Tick sched_free_at_ = 0;

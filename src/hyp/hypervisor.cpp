@@ -42,6 +42,33 @@ audit_partition(
 }
 #endif
 
+/**
+ * Emit one admission decision as an `admission` span at `t0`, lasting
+ * the modelled meta-table deployment cost (the sim clock itself does
+ * not advance inside create()). `error` is null for an admission and
+ * the failure reason otherwise.
+ */
+void
+trace_admission(Tick t0, const MappingRequest& req, const MappingResult& m,
+                VmId vm, Cycles setup_cycles, const char* error)
+{
+    if (!obs::enabled())
+        return;
+    std::array<obs::TraceArg, 7 + kFunnelFields.size()> args{
+        obs::arg("vm", vm), obs::arg("cores", req.vtopo.num_nodes()),
+        obs::arg("strategy", to_string(req.strategy)),
+        obs::arg("ok", error == nullptr ? 1 : 0), obs::arg("ted", m.ted),
+        obs::arg("search_steps", m.search_steps)};
+    std::size_t n = 6;
+    for (const auto& [name, field] : kFunnelFields)
+        args[n++] = obs::arg(name, m.funnel.*field);
+    if (error != nullptr)
+        args[n++] = obs::arg("error", error);
+    obs::emit(obs::TraceEvent{"admission", "hyp", 'X', t0, setup_cycles,
+                              obs::kTrackHyp, args.data(),
+                              static_cast<int>(n)});
+}
+
 } // namespace
 
 Hypervisor::Hypervisor(const SocConfig& cfg, const noc::MeshTopology& topo,
@@ -181,39 +208,30 @@ Hypervisor::create(const VnpuSpec& spec)
     const MappingRequest mreq = request_for(spec);
     const graph::Graph& vtopo = mreq.vtopo;
 
-    AdmissionAuditEntry audit;
-    audit.sim_time = t0;
-    audit.requested_cores = vtopo.num_nodes();
-    audit.strategy = spec.strategy;
-
     // 2. Allocate physical cores via the chosen strategy.
     MappingResult m = mapper_.map(mreq, free_);
     stats_.mapper_search_steps += m.search_steps;
     if (m.budget_exhausted)
         ++stats_.mapper_budget_exhausted;
     stats_.funnel += m.funnel;
-    audit.search_steps = m.search_steps;
-    audit.funnel = m.funnel;
     if (!m.ok) {
         ++stats_.allocation_failures;
-        audit.error = m.error;
-        record_admission(std::move(audit), t0);
+        trace_admission(t0, mreq, m, kNoVm, 0, m.error.c_str());
         fatal("vNPU allocation failed (", to_string(spec.strategy),
               ", ", vtopo.num_nodes(), " cores): ", m.error);
     }
-    audit.ted = m.ted;
 
     VmId vm = next_vm_++;
-    audit.vm = vm;
 
     // Setup failures past this point (disconnected-region isolation,
-    // HBM exhaustion, meta-zone overflow) must land in the audit log
-    // too, so the whole provisioning path is wrapped.
+    // HBM exhaustion, meta-zone overflow) must reach the trace too, so
+    // the whole provisioning path is wrapped.
     try {
-        return create_provision(spec, vtopo, m, vm, audit, t0);
+        virt::VirtualNpu& ref = create_provision(spec, vtopo, m, vm);
+        trace_admission(t0, mreq, m, vm, last_setup_cost_, nullptr);
+        return ref;
     } catch (const std::exception& e) {
-        audit.error = e.what();
-        record_admission(std::move(audit), t0);
+        trace_admission(t0, mreq, m, vm, 0, e.what());
         throw;
     }
 }
@@ -221,8 +239,7 @@ Hypervisor::create(const VnpuSpec& spec)
 virt::VirtualNpu&
 Hypervisor::create_provision(const VnpuSpec& spec,
                              const graph::Graph& vtopo,
-                             const MappingResult& m, VmId vm,
-                             AdmissionAuditEntry& audit, Tick t0)
+                             const MappingResult& m, VmId vm)
 {
     // 3. Routing table: compact mesh2d encoding when the region is a
     //    row-major rectangle, standard entries otherwise.
@@ -280,33 +297,7 @@ Hypervisor::create_provision(const VnpuSpec& spec,
     vnpus_[vm] = std::move(vnpu);
     VNPU_SANITIZE_BLOCK(
         audit_partition(free_, vnpus_, topo_.num_nodes());)
-
-    audit.admitted = true;
-    audit.setup_cycles = cost;
-    record_admission(std::move(audit), t0);
     return ref;
-}
-
-void
-Hypervisor::record_admission(AdmissionAuditEntry e, Tick t0)
-{
-    if (obs::enabled()) {
-        // The span's duration is the modeled meta-table deployment cost
-        // (the sim clock itself does not advance inside create()).
-        std::array<obs::TraceArg, 6 + kFunnelFields.size()> args{
-            obs::arg("vm", e.vm), obs::arg("cores", e.requested_cores),
-            obs::arg("strategy", to_string(e.strategy)),
-            obs::arg("ok", e.admitted ? 1 : 0), obs::arg("ted", e.ted),
-            obs::arg("search_steps", e.search_steps)};
-        std::size_t n = args.size() - kFunnelFields.size();
-        for (const auto& [name, field] : kFunnelFields)
-            args[n++] = obs::arg(name, e.funnel.*field);
-        obs::emit(obs::TraceEvent{"admission", "hyp", 'X', t0,
-                                  e.setup_cycles, obs::kTrackHyp,
-                                  args.data(),
-                                  static_cast<int>(args.size())});
-    }
-    audit_.push(std::move(e));
 }
 
 void
@@ -329,9 +320,6 @@ Hypervisor::collect_stats(StatSet& out, const std::string& prefix) const
                 static_cast<double>(stats_.funnel.*field));
     out.set(prefix + "free_cores", num_free_cores());
     out.set(prefix + "core_utilization", core_utilization());
-    out.set(prefix + "audit.retained", static_cast<double>(audit_.size()));
-    out.set(prefix + "audit.total",
-            static_cast<double>(audit_.total_pushed()));
 }
 
 void

@@ -15,7 +15,6 @@
 #include <vector>
 
 #include "core/controller.h"
-#include "hyp/admission_audit.h"
 #include "hyp/topology_mapper.h"
 #include "mem/buddy_allocator.h"
 #include "sim/config.h"
@@ -117,9 +116,6 @@ class Hypervisor {
     }
     const std::string& stats_prefix() const { return stats_prefix_; }
 
-    /** Ring of recent admission decisions (admitted and rejected). */
-    const AdmissionAuditRing& audit_log() const { return audit_; }
-    AdmissionAuditRing& audit_log() { return audit_; }
     virt::InstVRouter& inst_vrouter() { return ivr_; }
     const TopologyMapper& mapper() const { return mapper_; }
 
@@ -144,15 +140,11 @@ class Hypervisor {
 
     mem::RangeTable build_range_table(VmId vm, std::uint64_t bytes);
 
-    /** Record one admission decision: audit-ring push + trace span. */
-    void record_admission(AdmissionAuditEntry e, Tick t0);
-
     /** Steps 3-8 of create(): provision the mapped region. Split out so
-     *  create() can audit setup failures uniformly. */
+     *  create() can trace setup failures uniformly. */
     virt::VirtualNpu& create_provision(const VnpuSpec& spec,
                                        const graph::Graph& vtopo,
-                                       const MappingResult& m, VmId vm,
-                                       AdmissionAuditEntry& audit, Tick t0);
+                                       const MappingResult& m, VmId vm);
 
     const SocConfig& cfg_;
     const noc::MeshTopology& topo_;
@@ -165,7 +157,6 @@ class Hypervisor {
     Cycles last_setup_cost_ = 0;
     std::string stats_prefix_ = "hyp.";
     HypervisorStats stats_;
-    AdmissionAuditRing audit_;
     std::map<VmId, std::unique_ptr<virt::VirtualNpu>> vnpus_;
     std::map<VmId, std::vector<Addr>> blocks_; ///< buddy blocks per VM
 };

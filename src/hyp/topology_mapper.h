@@ -87,7 +87,7 @@ struct MappingRequest {
 
 /** Similar/fragmented scoring-funnel stage counters (docs/sim_kernel.md,
  *  "Admission funnel"); one record shared by mapper results, hypervisor
- *  stats and the admission audit. */
+ *  stats and the admission trace span. */
 struct FunnelCounters {
     std::uint64_t candidates = 0;  ///< Candidates entering scoring.
     std::uint64_t lb_pruned = 0;   ///< Discarded by the GED lower bound.

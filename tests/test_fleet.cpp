@@ -1,9 +1,10 @@
 /**
  * @file
  * Tests for the fleet-scale serving layer: arrival processes, per-device
- * Rng substream isolation, scheduler determinism, defragmentation
- * payoff, and migration invariants (partition disjointness + confined
- * route containment after every remap).
+ * Rng substream isolation, scheduler determinism, the event loop and
+ * the sim clock it gives admission spans, defragmentation payoff, and
+ * migration invariants (partition disjointness + confined route
+ * containment after every remap).
  */
 
 #include <gtest/gtest.h>
@@ -13,6 +14,7 @@
 #include <set>
 #include <vector>
 
+#include "capture_sink.h"
 #include "check/checks.h"
 #include "fleet/arrival.h"
 #include "fleet/scheduler.h"
@@ -218,6 +220,91 @@ TEST(FleetTest, RunToRunDecisionIdentity)
     FleetSimulator c(other);
     c.run();
     EXPECT_NE(a.decision_hash(), c.decision_hash());
+}
+
+TEST(FleetTest, StepLoopMatchesRun)
+{
+    // step() runs one event and run() drains the queue; both must
+    // reach the same decisions, makespan and time integrals.
+    FleetConfig cfg = small_fleet(23, true);
+    cfg.max_arrivals = 600;
+    FleetSimulator stepped(cfg), ran(cfg);
+    while (stepped.step()) {
+    }
+    ran.run();
+    EXPECT_GT(ran.now(), 0u);
+    EXPECT_EQ(stepped.decision_hash(), ran.decision_hash());
+    EXPECT_EQ(stepped.now(), ran.now());
+    EXPECT_EQ(stepped.utilization_mean(), ran.utilization_mean());
+    EXPECT_EQ(stepped.queue_depth_mean(), ran.queue_depth_mean());
+    EXPECT_EQ(stepped.queue_depth_peak(), ran.queue_depth_peak());
+    EXPECT_FALSE(ran.step());
+}
+
+TEST(FleetTest, AdmissionSpansCarryFleetTicks)
+{
+    // The fleet's queue is the sim clock of the hypervisors under it:
+    // each admission span lies in [arrival, decided] of its decision,
+    // and each destroy sits at the tenant's departure tick. One device
+    // keeps VM ids unique; no defrag keeps every destroy a departure.
+    // Lifetimes well under the patience window leave the last requests'
+    // patience wakes pending after the last departure.
+    FleetConfig cfg = small_fleet(17, false, 300);
+    cfg.num_devices = 1;
+    cfg.mix = {{"mobilenet", 2, 2, 0.6, 3'000}, {"resnet50", 4, 4, 0.4, 8'000}};
+    cfg.max_arrivals = 300;
+    testutil::CaptureSink sink;
+    std::vector<FleetDecision> decisions;
+    Tick makespan = 0;
+    {
+        testutil::SinkGuard guard(&sink);
+        FleetSimulator sim(cfg);
+        sim.run();
+        decisions = sim.decisions();
+        makespan = sim.now();
+    }
+
+    // Lifetimes from an independent replay of the arrival stream.
+    ArrivalProcess replay(cfg.arrival, cfg.seed, cfg.mix);
+    std::vector<Tick> lifetime;
+    for (std::uint64_t i = 0; i < cfg.max_arrivals; ++i)
+        lifetime.push_back(replay.next().lifetime);
+
+    std::map<VmId, FleetDecision> by_vm;
+    for (const FleetDecision& d : decisions)
+        if (d.admitted)
+            by_vm[d.vm] = d;
+    ASSERT_GT(by_vm.size(), 10u);
+
+    const std::vector<testutil::CapturedEvent> spans =
+        sink.named("admission");
+    EXPECT_EQ(spans.size(), by_vm.size());
+    for (const testutil::CapturedEvent& span : spans) {
+        EXPECT_EQ(span.num.at("ok"), 1.0);
+        const auto it = by_vm.find(static_cast<VmId>(span.num.at("vm")));
+        ASSERT_NE(it, by_vm.end());
+        EXPECT_GE(span.ts, it->second.arrival) << "vm " << it->first;
+        EXPECT_LE(span.ts, it->second.decided) << "vm " << it->first;
+    }
+
+    // The makespan is the last departure or rejection: leftover
+    // patience wakes of requests admitted early must not extend it.
+    Tick last_event = 0;
+    const std::vector<testutil::CapturedEvent> destroys =
+        sink.named("destroy");
+    EXPECT_EQ(destroys.size(), by_vm.size());
+    for (const testutil::CapturedEvent& ev : destroys) {
+        const auto it = by_vm.find(static_cast<VmId>(ev.num.at("vm")));
+        ASSERT_NE(it, by_vm.end());
+        EXPECT_EQ(ev.ts, it->second.decided +
+                             lifetime.at(it->second.request_id))
+            << "vm " << it->first;
+        last_event = std::max(last_event, ev.ts);
+    }
+    for (const FleetDecision& d : decisions)
+        if (!d.admitted)
+            last_event = std::max(last_event, d.decided);
+    EXPECT_EQ(makespan, last_event);
 }
 
 TEST(FleetTest, SloAccountingIsSane)

@@ -10,6 +10,7 @@
 #include <string>
 #include <vector>
 
+#include "capture_sink.h"
 #include "check/checks.h"
 #include "hyp/hypervisor.h"
 #include "hyp/mig.h"
@@ -387,8 +388,8 @@ TEST(HypervisorTest, DisconnectedIsolatedRegionIsRejectedAndAudited)
     // Straightforward placement takes the lowest-id free cores whether
     // or not they touch. On a checkerboard free set an isolated 2-core
     // request lands on two non-adjacent cores, and the confined-route
-    // build must reject it: SimFatal, an audited error, and no change
-    // to the free set or the live VMs.
+    // build must reject it: SimFatal, a failed admission span carrying
+    // the reason, and no change to the free set or the live VMs.
     Machine m(sim_cfg());
     Hypervisor hv(m.config(), m.topology(), m.controller());
     const noc::MeshTopology& topo = m.topology();
@@ -410,19 +411,24 @@ TEST(HypervisorTest, DisconnectedIsolatedRegionIsRejectedAndAudited)
     }
     const int free_before = hv.num_free_cores();
     ASSERT_EQ(free_before, topo.num_nodes() / 2);
-    const std::uint64_t audited = hv.audit_log().total_pushed();
 
     VnpuSpec pair;
     pair.num_cores = 2;
     pair.strategy = MappingStrategy::kStraightforward;
     pair.noc_isolation = true;
-    EXPECT_THROW(hv.create(pair), SimFatal);
+    testutil::CaptureSink sink;
+    {
+        testutil::SinkGuard guard(&sink);
+        EXPECT_THROW(hv.create(pair), SimFatal);
+    }
 
-    ASSERT_EQ(hv.audit_log().total_pushed(), audited + 1);
-    const AdmissionAuditEntry& e =
-        hv.audit_log().at(hv.audit_log().size() - 1);
-    EXPECT_FALSE(e.admitted);
-    EXPECT_NE(e.error.find("disconnected"), std::string::npos) << e.error;
+    const std::vector<testutil::CapturedEvent> spans =
+        sink.named("admission");
+    ASSERT_EQ(spans.size(), 1u);
+    EXPECT_EQ(spans[0].num.at("ok"), 0.0);
+    EXPECT_EQ(spans[0].num.at("cores"), 2.0);
+    const std::string& error = spans[0].str.at("error");
+    EXPECT_NE(error.find("disconnected"), std::string::npos) << error;
     EXPECT_EQ(hv.num_free_cores(), free_before);
     EXPECT_EQ(hv.stats().vnpus_created.value() -
                   hv.stats().vnpus_destroyed.value(),

@@ -14,6 +14,7 @@
 
 #include "check/check.h"
 #include "check/checks.h"
+#include "fleet/scheduler.h"
 #include "noc/network.h"
 #include "sim/config.h"
 #include "sim/event_queue.h"
@@ -231,6 +232,16 @@ TEST(SanitizeMode, GatedCallSitesIncrementCounters)
 
     EXPECT_GE(counters().noc_sends, 1u);
     EXPECT_GE(counters().event_queue_events, 2u);
+
+    fleet::FleetConfig fc;
+    fc.num_devices = 2;
+    fc.device = SocConfig::Sim();
+    fc.mix = {{"mobilenet", 2, 2, 1.0, 3'000}};
+    fc.arrival.mean_gap = 500;
+    fc.max_arrivals = 20;
+    fleet::FleetSimulator sim(fc);
+    sim.run();
+    EXPECT_GT(counters().fleet_passes, 0u);
 }
 
 } // namespace

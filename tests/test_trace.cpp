@@ -2,7 +2,7 @@
  * @file
  * Tests for the observability layer: trace sink determinism and
  * non-perturbation, Histogram quantiles against a sorted oracle, the
- * admission audit ring, and the uniform collect_stats sweep.
+ * hypervisor's admission spans, and the uniform collect_stats sweep.
  */
 
 #include <gtest/gtest.h>
@@ -11,13 +11,12 @@
 #include <cctype>
 #include <cmath>
 #include <cstring>
-#include <deque>
 #include <map>
 #include <sstream>
 #include <string>
 #include <vector>
 
-#include "hyp/admission_audit.h"
+#include "capture_sink.h"
 #include "hyp/hypervisor.h"
 #include "noc/network.h"
 #include "obs/chrome_trace.h"
@@ -36,11 +35,7 @@ using noc::Network;
 using noc::SendResult;
 using runtime::Machine;
 
-/** Restore the no-sink state even when a test fails mid-way. */
-struct SinkGuard {
-    explicit SinkGuard(obs::TraceSink* sink) { obs::set_sink(sink); }
-    ~SinkGuard() { obs::set_sink(nullptr); }
-};
+using testutil::SinkGuard;
 
 SocConfig
 net_cfg()
@@ -245,57 +240,11 @@ TEST(HistogramTest, CollectExportsQuantileKeys)
     EXPECT_EQ(st.get("lat.max", -1), 100.0);
 }
 
-TEST(AuditRingTest, StaysBoundedAndKeepsNewest)
-{
-    hyp::AdmissionAuditRing ring(256);
-    for (int i = 0; i < 600; ++i) {
-        hyp::AdmissionAuditEntry e;
-        e.requested_cores = i;
-        ring.push(std::move(e));
-    }
-    EXPECT_EQ(ring.size(), 256u);
-    EXPECT_EQ(ring.capacity(), 256u);
-    EXPECT_EQ(ring.total_pushed(), 600u);
-    // Oldest retained is push #344 (600 - 256), newest is #599.
-    EXPECT_EQ(ring.at(0).seq, 344u);
-    EXPECT_EQ(ring.at(0).requested_cores, 344);
-    EXPECT_EQ(ring.at(255).seq, 599u);
-
-    std::ostringstream os;
-    ring.dump_jsonl(os);
-    const std::string dump = os.str();
-    EXPECT_EQ(static_cast<std::size_t>(
-                  std::count(dump.begin(), dump.end(), '\n')),
-              ring.size());
-    EXPECT_NE(dump.find("\"seq\": 344"), std::string::npos);
-    EXPECT_EQ(dump.find("\"seq\": 343"), std::string::npos);
-}
-
-TEST(AuditRingTest, SetCapacityRepacksOldestFirst)
-{
-    hyp::AdmissionAuditRing ring(8);
-    for (int i = 0; i < 20; ++i) {
-        hyp::AdmissionAuditEntry e;
-        ring.push(std::move(e));
-    }
-    ring.set_capacity(4);
-    EXPECT_EQ(ring.size(), 4u);
-    EXPECT_EQ(ring.at(0).seq, 16u);
-    EXPECT_EQ(ring.at(3).seq, 19u);
-    // Pushing after a resize keeps seq numbering and order.
-    hyp::AdmissionAuditEntry e;
-    ring.push(std::move(e));
-    EXPECT_EQ(ring.size(), 4u);
-    EXPECT_EQ(ring.at(0).seq, 17u);
-    EXPECT_EQ(ring.at(3).seq, 20u);
-}
-
 /**
- * Strict JSON value parser (validate + collect top-level string
- * members). Just substring-probing a dump cannot catch escaping
- * faults; this actually consumes every byte the way RFC 8259 says a
- * reader will, and records decoded top-level strings for round-trip
- * comparison.
+ * Strict JSON value parser (validate + collect string members). Just
+ * substring-probing a dump cannot catch escaping faults; this actually
+ * consumes every byte the way RFC 8259 says a reader will, and records
+ * decoded string members, at any depth, for round-trip comparison.
  */
 class JsonChecker {
   public:
@@ -311,7 +260,7 @@ class JsonChecker {
         return pos_ == s_.size();
     }
 
-    /** Decoded top-level string members, by key. */
+    /** Decoded string members by key (the last one of a key wins). */
     const std::map<std::string, std::string>& strings() const
     {
         return strings_;
@@ -383,7 +332,7 @@ class JsonChecker {
                             return false;
                     }
                     if (v > 0xFF)
-                        return false; // audit strings are raw bytes
+                        return false; // error strings are raw bytes
                     out += static_cast<char>(v);
                     break;
                   }
@@ -490,7 +439,7 @@ class JsonChecker {
             std::string v;
             if (!string_value(v))
                 return false;
-            if (depth == 1 && !key.empty())
+            if (!key.empty())
                 strings_[key] = v;
             return true;
         }
@@ -511,15 +460,15 @@ class JsonChecker {
 TEST(AuditRingTest, DumpJsonlSurvivesAdversarialStrings)
 {
     // Failure reasons flow straight from fatal() messages into the
-    // ring; under fleet churn they can carry model names, quoted
-    // specs, file paths — any byte. Every line of the dump must stay
-    // machine-parseable JSON and round-trip the exact string.
+    // admission span's `error` arg; under fleet churn they can carry
+    // model names, quoted specs, file paths — any byte but NUL (a C
+    // string arg ends there). Every trace must stay machine-parseable
+    // JSON and round-trip the exact string.
     std::vector<std::string> nasty = {
         "plain reason",
         "quote \" backslash \\ slash / done",
         "newline \n tab \t cr \r backspace \b formfeed \f",
         "\"{]}\\u0000 not a real escape: \\x41",
-        std::string("embedded\0NUL", 12),
         "high bytes \xc3\xa9\xf0\x9f\x92\xa9 pass through",
         "trailing backslash \\",
     };
@@ -528,71 +477,25 @@ TEST(AuditRingTest, DumpJsonlSurvivesAdversarialStrings)
         all_controls += static_cast<char>(c);
     nasty.push_back(all_controls);
 
-    hyp::AdmissionAuditRing ring(64);
-    for (const std::string& s : nasty) {
-        hyp::AdmissionAuditEntry e;
-        e.requested_cores = 4;
-        e.strategy = hyp::MappingStrategy::kSimilarTopology;
-        e.error = s;
-        ring.push(std::move(e));
-    }
-
-    std::ostringstream os;
-    ring.dump_jsonl(os);
-    std::istringstream is(os.str());
-    std::string line;
-    std::size_t i = 0;
-    while (std::getline(is, line)) {
-        ASSERT_LT(i, nasty.size());
-        JsonChecker parser(line);
-        ASSERT_TRUE(parser.parse()) << "line " << i << ": " << line;
+    for (const std::string& reason : nasty) {
+        std::ostringstream os;
+        {
+            obs::ChromeTraceWriter w(os);
+            SinkGuard guard(&w);
+            const obs::TraceArg args[] = {
+                obs::arg("cores", 4),
+                obs::arg("strategy",
+                         to_string(hyp::MappingStrategy::kSimilarTopology)),
+                obs::arg("ok", 0), obs::arg("error", reason.c_str())};
+            obs::emit(obs::TraceEvent{"admission", "hyp", 'X', 7, 0,
+                                      obs::kTrackHyp, args, 4});
+        }
+        const std::string trace = os.str();
+        JsonChecker parser(trace);
+        ASSERT_TRUE(parser.parse()) << trace;
         const auto it = parser.strings().find("error");
-        ASSERT_NE(it, parser.strings().end()) << "line " << i;
-        EXPECT_EQ(it->second, nasty[i]) << "line " << i;
-        ++i;
-    }
-    EXPECT_EQ(i, nasty.size());
-}
-
-TEST(AuditRingTest, SetCapacityFuzzMatchesDequeOracle)
-{
-    // Adversarial repack schedule: random push bursts interleaved with
-    // random grow/shrink set_capacity calls, so repacks regularly hit
-    // a ring whose head has wrapped mid-buffer. The ring must always
-    // hold exactly the newest entries in oldest-first order — modeled
-    // by a deque oracle that never wraps.
-    hyp::AdmissionAuditRing ring(5);
-    std::deque<std::uint64_t> oracle; // seq numbers, oldest first
-    std::size_t oracle_cap = 5;
-    std::uint64_t next_seq = 0;
-    Rng rng(2024);
-
-    for (int op = 0; op < 400; ++op) {
-        if (rng.next_below(3) != 0) {
-            const std::uint64_t burst = rng.next_below(9) + 1;
-            for (std::uint64_t b = 0; b < burst; ++b) {
-                hyp::AdmissionAuditEntry e;
-                e.requested_cores = static_cast<int>(next_seq);
-                EXPECT_EQ(ring.push(std::move(e)), next_seq);
-                oracle.push_back(next_seq++);
-                while (oracle.size() > oracle_cap)
-                    oracle.pop_front();
-            }
-        } else {
-            const std::size_t cap = rng.next_below(11) + 1;
-            ring.set_capacity(cap);
-            oracle_cap = cap;
-            while (oracle.size() > oracle_cap)
-                oracle.pop_front();
-        }
-        ASSERT_EQ(ring.size(), oracle.size()) << "op " << op;
-        ASSERT_EQ(ring.total_pushed(), next_seq);
-        for (std::size_t i = 0; i < oracle.size(); ++i) {
-            ASSERT_EQ(ring.at(i).seq, oracle[i])
-                << "op " << op << " slot " << i;
-            ASSERT_EQ(ring.at(i).requested_cores,
-                      static_cast<int>(oracle[i]));
-        }
+        ASSERT_NE(it, parser.strings().end()) << trace;
+        EXPECT_EQ(it->second, reason);
     }
 }
 
@@ -600,6 +503,8 @@ TEST(HypervisorAuditTest, RecordsAdmissionsAndRejections)
 {
     Machine m(SocConfig::Sim()); // 6x6
     hyp::Hypervisor hv(m.config(), m.topology(), m.controller());
+    testutil::CaptureSink sink;
+    SinkGuard guard(&sink);
 
     hyp::VnpuSpec ok;
     ok.num_cores = 6;
@@ -610,39 +515,47 @@ TEST(HypervisorAuditTest, RecordsAdmissionsAndRejections)
     bad.num_cores = 37; // more cores than the 36-core mesh has
     EXPECT_THROW(hv.create(bad), SimFatal);
 
-    const hyp::AdmissionAuditRing& log = hv.audit_log();
-    ASSERT_EQ(log.total_pushed(), 2u);
-    const hyp::AdmissionAuditEntry& adm = log.at(0);
-    EXPECT_TRUE(adm.admitted);
-    EXPECT_EQ(adm.vm, v.vm());
-    EXPECT_EQ(adm.requested_cores, 6);
-    EXPECT_GT(adm.setup_cycles, 0u);
-    EXPECT_TRUE(adm.error.empty());
-    const hyp::AdmissionAuditEntry& rej = log.at(1);
-    EXPECT_FALSE(rej.admitted);
-    EXPECT_EQ(rej.requested_cores, 37);
-    EXPECT_FALSE(rej.error.empty());
+    const std::vector<testutil::CapturedEvent> spans =
+        sink.named("admission");
+    ASSERT_EQ(spans.size(), 2u);
+    const testutil::CapturedEvent& adm = spans[0];
+    EXPECT_EQ(adm.num.at("ok"), 1.0);
+    EXPECT_EQ(adm.num.at("vm"), static_cast<double>(v.vm()));
+    EXPECT_EQ(adm.num.at("cores"), 6.0);
+    EXPECT_EQ(adm.dur, hv.last_setup_cost());
+    EXPECT_GT(adm.dur, 0u);
+    EXPECT_EQ(adm.str.count("error"), 0u);
+    const testutil::CapturedEvent& rej = spans[1];
+    EXPECT_EQ(rej.num.at("ok"), 0.0);
+    EXPECT_EQ(rej.num.at("vm"), static_cast<double>(kNoVm));
+    EXPECT_EQ(rej.num.at("cores"), 37.0);
+    EXPECT_FALSE(rej.str.at("error").empty());
 }
 
 TEST(HypervisorAuditTest, AdmissionSpansReachTheTrace)
 {
-    std::ostringstream os;
-    obs::ChromeTraceWriter w(os);
+    testutil::CaptureSink sink;
     {
-        SinkGuard guard(&w);
+        SinkGuard guard(&sink);
         Machine m(SocConfig::Sim());
         hyp::Hypervisor hv(m.config(), m.topology(), m.controller());
         hyp::VnpuSpec spec;
         spec.num_cores = 4;
-        hv.create(spec);
-        hv.destroy(hv.audit_log().at(0).vm);
+        hv.destroy(hv.create(spec).vm());
     }
-    w.close();
-    const std::string t = os.str();
-    EXPECT_NE(t.find("\"name\":\"admission\""), std::string::npos);
-    EXPECT_NE(t.find("\"cat\":\"hyp\""), std::string::npos);
-    EXPECT_NE(t.find("\"name\":\"destroy\""), std::string::npos);
-    EXPECT_NE(t.find("\"strategy\""), std::string::npos);
+    const std::vector<testutil::CapturedEvent> adm =
+        sink.named("admission");
+    ASSERT_EQ(adm.size(), 1u);
+    EXPECT_EQ(adm[0].cat, "hyp");
+    EXPECT_EQ(adm[0].ph, 'X');
+    EXPECT_EQ(adm[0].str.at("strategy"),
+              to_string(hyp::MappingStrategy::kSimilarTopology));
+    const std::vector<testutil::CapturedEvent> destroy =
+        sink.named("destroy");
+    ASSERT_EQ(destroy.size(), 1u);
+    EXPECT_EQ(destroy[0].cat, "hyp");
+    EXPECT_EQ(destroy[0].ph, 'i');
+    EXPECT_EQ(destroy[0].num.at("vm"), adm[0].num.at("vm"));
 }
 
 TEST(CollectStatsTest, HypervisorSweepMatchesLegacyCounters)
@@ -669,7 +582,6 @@ TEST(CollectStatsTest, HypervisorSweepMatchesLegacyCounters)
               static_cast<double>(legacy.funnel.memo_hits));
     EXPECT_EQ(st.get("hyp.funnel.full_ged", -1),
               static_cast<double>(legacy.funnel.full_ged));
-    EXPECT_EQ(st.get("hyp.audit.total", -1), 3.0);
     EXPECT_EQ(st.get("hyp.free_cores", -1),
               static_cast<double>(hv.num_free_cores()));
 }

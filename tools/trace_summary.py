@@ -1,14 +1,13 @@
 #!/usr/bin/env python3
-"""Summarize a simulator trace (and optionally an admission audit dump).
+"""Summarize a simulator trace.
 
 Stdlib-only. For a Chrome trace-event JSON file, prints per-category
-event counts and total span time, the busiest event names, and
-per-track span occupancy. With --audit, also summarizes an admission
-audit JSONL dump (hyp::AdmissionAuditRing::dump_jsonl).
+event counts and total span time, the busiest event names, per-track
+span occupancy, and a per-strategy table of the hypervisor's
+`admission` spans (admitted, rejected, mean TED, mean cores).
 
 Usage:
-    python3 tools/trace_summary.py TRACE.json [--audit AUDIT.jsonl]
-    python3 tools/trace_summary.py --audit AUDIT.jsonl
+    python3 tools/trace_summary.py TRACE.json
 """
 
 import argparse
@@ -76,61 +75,50 @@ def summarize_trace(path):
             util = dur / span_end
             print(f"  {label:<16}{dur:>12} ticks  {util:>6.1%}")
 
+    summarize_admissions(
+        [ev for ev in events
+         if ev.get("name") == "admission" and ev.get("cat") == "hyp"])
 
-def summarize_audit(path):
-    entries = []
-    with open(path, "r", encoding="utf-8") as f:
-        for line in f:
-            line = line.strip()
-            if line:
-                entries.append(json.loads(line))
-    if not entries:
-        print(f"{path}: empty audit log")
+
+def summarize_admissions(spans):
+    """Per-strategy table of the hypervisor's admission spans."""
+    if not spans:
         return
-
     by_strategy = defaultdict(lambda: {"admitted": 0, "rejected": 0,
                                        "ted": 0.0, "cores": 0})
-    for e in entries:
-        s = by_strategy[e.get("strategy", "?")]
-        if e.get("admitted"):
+    errors = []
+    for ev in spans:
+        a = ev.get("args", {})
+        s = by_strategy[a.get("strategy", "?")]
+        if a.get("ok"):
             s["admitted"] += 1
-            s["ted"] += e.get("ted", 0)
+            s["ted"] += a.get("ted", 0)
         else:
             s["rejected"] += 1
-        s["cores"] += e.get("requested_cores", 0)
+            if a.get("error"):
+                errors.append(a["error"])
+        s["cores"] += a.get("cores", 0)
 
-    first, last = entries[0], entries[-1]
-    print(f"{path}: {len(entries)} retained decisions "
-          f"(seq {first.get('seq')}..{last.get('seq')})")
-    print(f"  {'strategy':<12}{'admitted':>10}{'rejected':>10}"
+    print(f"\nadmissions ({len(spans)} admission spans):")
+    print(f"  {'strategy':<18}{'admitted':>10}{'rejected':>10}"
           f"{'mean TED':>10}{'mean cores':>12}")
     for strat in sorted(by_strategy):
         s = by_strategy[strat]
         total = s["admitted"] + s["rejected"]
         mean_ted = s["ted"] / s["admitted"] if s["admitted"] else 0.0
-        print(f"  {strat:<12}{s['admitted']:>10}{s['rejected']:>10}"
+        print(f"  {strat:<18}{s['admitted']:>10}{s['rejected']:>10}"
               f"{mean_ted:>10.1f}{s['cores'] / total:>12.1f}")
-    errors = [e for e in entries if e.get("error")]
     if errors:
-        print(f"  {len(errors)} entries carry an error, e.g.: "
-              f"{errors[-1]['error']}")
+        print(f"  {len(errors)} rejections carry an error, e.g.: "
+              f"{errors[-1]}")
 
 
 def main():
     ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("trace", nargs="?", help="Chrome trace-event JSON")
-    ap.add_argument("--audit", metavar="FILE",
-                    help="admission audit JSONL dump")
+    ap.add_argument("trace", help="Chrome trace-event JSON")
     args = ap.parse_args()
-    if not args.trace and not args.audit:
-        ap.error("nothing to do: give a trace file and/or --audit")
     try:
-        if args.trace:
-            summarize_trace(args.trace)
-        if args.audit:
-            if args.trace:
-                print()
-            summarize_audit(args.audit)
+        summarize_trace(args.trace)
     except (OSError, json.JSONDecodeError) as e:
         print(f"trace_summary: {e}", file=sys.stderr)
         sys.exit(2)
