@@ -7,6 +7,7 @@
 #include "check/check.h"
 #include "graph/graph.h"
 #include "obs/metrics.h"
+#include "obs/prof.h"
 #include "obs/trace.h"
 #include "sim/log.h"
 
@@ -54,17 +55,21 @@ FleetSimulator::FleetSimulator(const FleetConfig& cfg)
         fatal("max_defrag_victims must be >= 1");
     if (cfg_.migration_bytes_per_tick <= 0.0)
         fatal("migration_bytes_per_tick must be positive");
-    for (const TenantClass& c : arrivals_.mix()) {
-        if (c.width > cfg_.device.mesh_x || c.height > cfg_.device.mesh_y)
-            fatal("tenant class '", c.model, "' (", c.width, "x", c.height,
-                  ") does not fit a ", cfg_.device.mesh_x, "x",
-                  cfg_.device.mesh_y, " device");
-    }
     devices_.reserve(static_cast<std::size_t>(cfg_.num_devices));
     for (int i = 0; i < cfg_.num_devices; ++i) {
         devices_.push_back(
             std::make_unique<FleetDevice>(i, cfg_.device, cfg_.seed));
         total_cores_ += devices_.back()->num_cores();
+    }
+    // A class fits iff the mapper admits it on an empty device.
+    for (const TenantClass& c : arrivals_.mix()) {
+        const hyp::MappingResult m = devices_.front()->hypervisor().try_map(
+            hyp::request_for(
+                vnpu_spec(c.width, c.height, hyp::MappingStrategy::kExact)));
+        if (!m.ok)
+            fatal("tenant class '", c.model, "' (", c.width, "x", c.height,
+                  ") does not fit a ", cfg_.device.mesh_x, "x",
+                  cfg_.device.mesh_y, " device: ", m.error);
     }
     jitter_log_.resize(devices_.size());
     if (more_arrivals()) {
@@ -206,6 +211,7 @@ FleetSimulator::schedule_pass()
 void
 FleetSimulator::decide()
 {
+    VNPU_PROF("fleet.decide");
     pass_scheduled_ = false;
     advance_integrals();
     drain_queue(now());
@@ -320,6 +326,7 @@ FleetSimulator::place(const FleetRequest& r) const
 FleetSimulator::Placement
 FleetSimulator::pick_exact(const FleetRequest& r) const
 {
+    VNPU_PROF("fleet.pick_exact");
     const hyp::MappingRequest req = hyp::request_for(
         vnpu_spec(r.width, r.height, hyp::MappingStrategy::kExact));
     int best = -1;
@@ -483,6 +490,7 @@ FleetSimulator::reject(Tick t, const Queued& q)
 FleetSimulator::DefragPlan
 FleetSimulator::plan_defrag(const FleetRequest& r) const
 {
+    VNPU_PROF("fleet.plan_defrag");
     const hyp::MappingRequest ereq = hyp::request_for(
         vnpu_spec(r.width, r.height, hyp::MappingStrategy::kExact));
 

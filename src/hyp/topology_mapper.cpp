@@ -5,7 +5,6 @@
 #include <cstring>
 #include <functional>
 #include <limits>
-#include <numeric>
 
 #include "obs/prof.h"
 #include "sim/log.h"
@@ -583,25 +582,20 @@ constexpr const char* kLockIn =
     "no exact topology match available (topology lock-in)";
 
 /**
- * Width W when `g` is exactly the row-major grid mesh(W, k / W) at zero
- * identity cost under `ged`, else 0. Vertex 0's neighbours name the only
- * candidate: {1, W} for W >= 2, {1} for a path (read as a 1 x k column)
- * and none for a single core.
+ * Width W when `g` is exactly the row-major grid mesh(W, k / W), else 0.
+ * Vertex 0's neighbours name the only candidate: {1, W} for W >= 2, {1}
+ * for a path (read as a 1 x k column) and none for a single core.
  */
 int
-row_major_grid_width(const graph::Graph& g, const graph::GedOptions& ged)
+row_major_grid_width(const graph::Graph& g)
 {
+    VNPU_PROF("mapper.exact.recognize");
     const int k = g.num_nodes();
     const graph::NodeMask& nb = g.neighbors(0);
     const int w = nb.count() == 2 && nb.test(1) ? nb.next(2) : 1;
     if (nb.count() > 2 || k % w != 0)
         return 0;
-    const graph::Graph rect = graph::Graph::mesh(w, k / w);
-    std::vector<int> identity(k);
-    std::iota(identity.begin(), identity.end(), 0);
-    return g == rect && graph::ged_mapping_cost(g, rect, identity, ged) == 0.0
-               ? w
-               : 0;
+    return g == graph::Graph::mesh(w, k / w) ? w : 0;
 }
 
 } // namespace
@@ -618,6 +612,17 @@ TopologyMapper::map_exact(const MappingRequest& req, const CoreSet& free) const
         res.error = "disconnected request topology with "
                     "require_connected set";
         return res;
+    }
+
+    // The one exactness rule of every phase: labels must be equal, or
+    // under custom node costs every node substitution must be free.
+    graph::IsoOptions iso;
+    iso.max_steps = req.exact_search_budget;
+    if (req.ged.node_cost) {
+        const auto& cost = req.ged.node_cost;
+        iso.node_compat = [&cost](int a, int b) {
+            return cost(a, b) == 0.0;
+        };
     }
 
     // Slide the symmetry variants of one cell shape over the free set;
@@ -639,50 +644,27 @@ TopologyMapper::map_exact(const MappingRequest& req, const CoreSet& free) const
     // Phase 1 — sliding rectangle. A row-major mesh(W, H) request (the
     // dominant case) slides as a W x H block with the identity
     // assignment, then as an H x W block with the transpose, anchors in
-    // row-major order; a miss spends no search budget. Paths (W == 1)
-    // can bend around obstacles and fall through to phases 2 and 3.
-    if (const int gw = row_major_grid_width(req.vtopo, req.ged)) {
+    // row-major order; a miss spends no search budget. Its labels are
+    // all 0, like the unlabeled host's. Paths (W == 1) can bend around
+    // obstacles and fall through to phases 2 and 3.
+    const int gw = row_major_grid_width(req.vtopo);
+    if (gw && (!iso.node_compat || iso.node_compat(0, 0))) {
         VNPU_PROF("mapper.exact.rect");
         if (slide(grid_variants(gw, k)))
             return res;
     }
 
-    // The mesh graph is only needed past the fast path.
-    graph::Graph mesh = topo_.to_graph();
-
-    // Cheap rejection before any search: a mesh cannot host a vertex of
-    // degree > 4 (degree-sequence prefilters run inside the search).
-    if (req.vtopo.max_degree() > mesh.max_degree()) {
-        res.candidates_considered = seen;
-        res.error = "request degree exceeds mesh degree "
-                    "(no exact embedding exists)";
-        return res;
-    }
-
-    graph::IsoOptions iso;
-    iso.max_steps = req.exact_search_budget;
-    if (req.ged.node_cost) {
-        // Exact admission under custom node costs: a placement is exact
-        // iff every node substitution is free.
-        const auto& cost = req.ged.node_cost;
-        iso.node_compat = [&cost](int a, int b) {
-            return cost(a, b) == 0.0;
-        };
-    }
-
     // Phase 2 — polyomino slide. Embed the request once into the
     // unconstrained mesh; a hit yields a cell shape whose 8 symmetries
-    // slide over the free set in O(rects) bit tests per anchor. Only
-    // valid on label-uniform meshes (translation preserves host labels
-    // there; `to_graph()` meshes are unlabeled).
-    bool uniform = true;
-    for (int v = 1; v < mesh.num_nodes() && uniform; ++v)
-        uniform = mesh.label(v) == mesh.label(0);
-    const CoreSet all = CoreSet::first_n(topo_.num_nodes());
-    if (uniform) {
+    // slide over the free set in O(rects) bit tests per anchor
+    // (translation preserves host labels: `to_graph()` meshes are
+    // unlabeled). The search's degree-sequence prefilter refutes a
+    // request of degree > 4 in 0 steps.
+    graph::Graph mesh = topo_.to_graph();
+    {
         VNPU_PROF("mapper.exact.slide");
-        graph::IsoResult shape =
-            graph::find_induced_isomorphism(req.vtopo, mesh, all, iso);
+        graph::IsoResult shape = graph::find_induced_isomorphism(
+            req.vtopo, mesh, CoreSet::first_n(topo_.num_nodes()), iso);
         res.search_steps += shape.steps;
         if (!shape.found) {
             // Not embeddable in the full mesh => not in any free subset.

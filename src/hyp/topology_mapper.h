@@ -7,7 +7,9 @@
  *  - kExact: allocate only a region isomorphic to the request (TED 0);
  *    fail otherwise — this is the "topology lock-in" behaviour. This is
  *    the one exact-feasibility path: callers (the fleet scheduler
- *    included) ask `map()` and read `ok`. A row-major W x H grid
+ *    included) ask `map()` and read `ok`. Every phase admits a node
+ *    substitution under one rule: equal labels, or `node_cost(a, b)
+ *    == 0` when `ged.node_cost` is set. A row-major W x H grid
  *    request slides over the free set in both orientations; for
  *    W, H >= 2 grid rigidity makes a miss there a proof, returned
  *    without spending search budget. Other requests go on to a

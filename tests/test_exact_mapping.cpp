@@ -199,6 +199,10 @@ TEST(ExactDifferentialTest, AllSmallTopologiesMatchBruteForce)
                 continue;
             MappingResult r = mapper.map(exact_request(pattern), free);
             ASSERT_FALSE(r.budget_exhausted);
+            // Degree > 4 (the star) is refuted before any search step.
+            if (pattern.max_degree() > 4) {
+                EXPECT_EQ(r.search_steps, 0u);
+            }
             bool exists = oracle_exists(mesh, pattern, free);
             if (r.ok != exists)
                 ++disagreements;
@@ -557,6 +561,90 @@ TEST(ExactScaleTest, GridRequestsFollowTheRectangleSpec)
     EXPECT_GT(hits, 100);
     EXPECT_GT(transposed_hits, 10);
     EXPECT_GT(misses, 20);
+}
+
+/**
+ * One exactness rule in every phase: a placement is exact iff every
+ * node substitution is free (labels equal by default, `node_cost == 0`
+ * under custom costs). A cost that restates the default must decide
+ * exactly like it; a cost that frees no substitution refutes every
+ * request before any search; a cost that frees any pattern label on an
+ * unlabeled host admits a labelled grid wherever its shape fits.
+ */
+TEST(ExactScaleTest, CustomNodeCostsFollowOneExactnessRule)
+{
+    struct Dims {
+        int w, h;
+    };
+    std::vector<graph::Graph> requests;
+    for (int w = 1; w <= 4; ++w)
+        for (int h = 1; h <= 4; ++h)
+            requests.push_back(graph::Graph::mesh(w, h));
+    requests.push_back(TopologyMapper::snake_topology(5));
+    requests.push_back(TopologyMapper::snake_topology(9));
+    graph::Graph labelled = graph::Graph::mesh(3, 2);
+    labelled.set_label(4, 3);
+    requests.push_back(labelled);
+
+    const auto same_label = [](int a, int b) { return a == b ? 0.0 : 1.0; };
+    const auto never_free = [](int, int) { return 1.0; };
+    const auto host_unlabeled = [](int, int b) { return b == 0 ? 0.0 : 1.0; };
+
+    int admitted = 0, refused = 0, labelled_admitted = 0;
+    for (Dims mesh_dims : {Dims{8, 8}, Dims{16, 8}}) {
+        noc::MeshTopology topo(mesh_dims.w, mesh_dims.h);
+        TopologyMapper mapper(topo);
+        graph::Graph mesh = topo.to_graph();
+        const int n = topo.num_nodes();
+        for (std::uint64_t seed = 0; seed < 6; ++seed) {
+            Rng rng(0xc057 + seed * 131 + static_cast<std::uint64_t>(n));
+            CoreSet free = CoreSet::first_n(n);
+            for (int i = 0; i < n; ++i)
+                if (rng.next_below(100) < (seed % 2 ? 35u : 12u))
+                    free.reset(i);
+            for (const graph::Graph& g : requests) {
+                SCOPED_TRACE(testing::Message()
+                             << mesh_dims.w << "x" << mesh_dims.h << " seed "
+                             << seed << " request n=" << g.num_nodes()
+                             << " e=" << g.num_edges());
+                const MappingResult def = mapper.map(exact_request(g), free);
+                (def.ok ? admitted : refused) += 1;
+
+                MappingRequest eq = exact_request(g);
+                eq.ged.node_cost = same_label;
+                const MappingResult r = mapper.map(eq, free);
+                EXPECT_EQ(r.ok, def.ok);
+                EXPECT_EQ(r.assignment, def.assignment);
+                EXPECT_EQ(r.search_steps, def.search_steps);
+                EXPECT_EQ(r.candidates_considered, def.candidates_considered);
+                EXPECT_EQ(r.budget_exhausted, def.budget_exhausted);
+
+                MappingRequest none = exact_request(g);
+                none.ged.node_cost = never_free;
+                const MappingResult rn = mapper.map(none, free);
+                EXPECT_FALSE(rn.ok);
+                EXPECT_EQ(rn.search_steps, 0u);
+                EXPECT_FALSE(rn.budget_exhausted);
+            }
+            // The labelled grid is refused under default costs (its
+            // label-3 vertex has no host) and admitted under
+            // `host_unlabeled` wherever the unlabeled grid fits.
+            EXPECT_FALSE(mapper.map(exact_request(labelled), free).ok);
+            MappingRequest lab = exact_request(labelled);
+            lab.ged.node_cost = host_unlabeled;
+            const MappingResult rl = mapper.map(lab, free);
+            EXPECT_EQ(rl.ok,
+                      mapper.map(exact_request(graph::Graph::mesh(3, 2)), free)
+                          .ok);
+            if (rl.ok) {
+                ++labelled_admitted;
+                expect_exact_placement(mesh, labelled, free, rl.assignment);
+            }
+        }
+    }
+    EXPECT_GT(admitted, 50);
+    EXPECT_GT(refused, 5);
+    EXPECT_GT(labelled_admitted, 4);
 }
 
 TEST(ExactScaleTest, DisconnectedRequestHonorsConnectivityFlag)

@@ -396,5 +396,31 @@ TEST(FleetTest, MigrationPreservesPartitionAndRouteInvariants)
     EXPECT_GT(sim.stats().defrag_success.value(), 0u);
 }
 
+TEST(FleetTest, ClassFitIsTheMappersVerdict)
+{
+    // A class fits iff the exact mapper admits it on an empty device,
+    // in either orientation: 8x2 lands transposed on a 4x8 device.
+    FleetConfig cfg;
+    cfg.num_devices = 1;
+    cfg.device = SocConfig::Sim();
+    cfg.device.mesh_x = 4;
+    cfg.device.mesh_y = 8;
+    cfg.mix = {{"mobilenet", 8, 2, 1.0, 20'000}};
+    cfg.arrival.mean_gap = 5'000;
+    cfg.max_arrivals = 20;
+    FleetSimulator sim(cfg);
+    sim.run();
+    EXPECT_GT(sim.stats().admitted.value(), 0u);
+    for (const FleetDecision& d : sim.decisions()) {
+        if (d.admitted) {
+            EXPECT_EQ(d.ted, 0.0); // exact, not the similar fallback
+        }
+    }
+
+    // No 5x5 block fits 4 columns in either orientation.
+    cfg.mix = {{"mobilenet", 5, 5, 1.0, 20'000}};
+    EXPECT_THROW(FleetSimulator{cfg}, SimFatal);
+}
+
 } // namespace
 } // namespace vnpu::fleet
