@@ -3,9 +3,9 @@
  * Google-benchmark micro-benchmarks of the performance-critical
  * simulator kernels: graph edit distance, connected-subset
  * enumeration, range-TLB translation, page-TLB translation, buddy
- * allocation, NoC sends and the event queue. These bound the
- * wall-clock cost of the figure harnesses (the hypervisor's mapper
- * evaluates hundreds of candidates per allocation).
+ * allocation, confined-route builds, NoC sends and the event queue.
+ * These bound the wall-clock cost of the figure harnesses (the
+ * hypervisor's mapper evaluates hundreds of candidates per allocation).
  *
  * Besides the google-benchmark cases, main() self-times the fast-path
  * kernels against the seed implementations (tests/reference/
@@ -141,6 +141,32 @@ BM_NocSend(benchmark::State& state)
 }
 BENCHMARK(BM_NocSend);
 
+/**
+ * The same 10-hop send through a confined route over the whole mesh:
+ * range(0) == 0 is the full rectangle (closed-form lookup), 1 drops the
+ * far corner core from the region so the lookup goes through the table.
+ */
+static void
+BM_NocSendConfined(benchmark::State& state)
+{
+    SocConfig cfg = SocConfig::Sim();
+    EventQueue eq;
+    noc::MeshTopology topo(cfg.mesh_x, cfg.mesh_y);
+    noc::Network net(cfg, topo, eq);
+    CoreSet region = CoreSet::first_n(topo.num_nodes());
+    if (state.range(0) == 1)
+        region.reset(topo.id_of(cfg.mesh_x - 1, 0));
+    const noc::RouteOverride route =
+        noc::RouteOverride::build_confined(topo, region);
+    Tick t = 0;
+    for (auto _ : state) {
+        benchmark::DoNotOptimize(
+            net.send(t, 0, 35, 64 << 10, 1, 0, &route).delivered);
+        t += 10000;
+    }
+}
+BENCHMARK(BM_NocSendConfined)->ArgNames({"table"})->Arg(0)->Arg(1);
+
 /** Wormhole send at 1 / 64 / 4096 routing packets per message. */
 static void
 BM_NocSendPackets(benchmark::State& state)
@@ -261,6 +287,41 @@ BM_CoreSetOps(benchmark::State& state)
     }
 }
 BENCHMARK(BM_CoreSetOps);
+
+/**
+ * Confined-route build on a 32x32 mesh for a region of range(0) = s^2
+ * cores. range(1) == 0 is the s x s square (closed form); 1 is an L of
+ * the same size whose arms are s/2 cores thick and 5s/4 long (table).
+ */
+static void
+BM_RouteBuild(benchmark::State& state)
+{
+    noc::MeshTopology topo(32, 32);
+    const int cores = static_cast<int>(state.range(0));
+    int side = 1;
+    while (side * side < cores)
+        ++side;
+    const int thick = side / 2;
+    const int arm = 5 * side / 4;
+    CoreSet region;
+    for (int y = 0; y < 32; ++y)
+        for (int x = 0; x < 32; ++x) {
+            const bool in = state.range(1) == 0
+                                ? x < side && y < side
+                                : x < arm && y < arm &&
+                                      (x < thick || y >= arm - thick);
+            if (in)
+                region.set(topo.id_of(x, y));
+        }
+    if (region.count() != cores)
+        state.SkipWithError("region size mismatch");
+    for (auto _ : state)
+        benchmark::DoNotOptimize(
+            noc::RouteOverride::build_confined(topo, region));
+}
+BENCHMARK(BM_RouteBuild)
+    ->ArgNames({"cores", "table"})
+    ->ArgsProduct({{16, 64, 256}, {0, 1}});
 
 // ---- Seed-vs-fast comparison, emitted as BENCH_noc.json --------------
 //

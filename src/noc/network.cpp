@@ -17,19 +17,34 @@ RouteOverride::build_confined(const MeshTopology& topo, const CoreSet& region)
 {
     const int n = topo.num_nodes();
     RouteOverride ov;
-    ov.rank_.assign(static_cast<std::size_t>(n), -1);
+    const int k = region.count();
+    ov.k_ = k;
+
+    // A region that fills its bounding box routes in closed form.
+    ov.w_ = topo.width();
+    ov.x0_ = ov.w_;
+    ov.y0_ = topo.height();
+    ov.x1_ = ov.y1_ = -1;
+    for (int id : region) {
+        VNPU_ASSERT(id < n);
+        ov.x0_ = std::min(ov.x0_, topo.x_of(id));
+        ov.x1_ = std::max(ov.x1_, topo.x_of(id));
+        ov.y0_ = std::min(ov.y0_, topo.y_of(id));
+        ov.y1_ = std::max(ov.y1_, topo.y_of(id));
+    }
+    ov.rect_ = k > 0 && k == (ov.x1_ - ov.x0_ + 1) * (ov.y1_ - ov.y0_ + 1);
+    if (ov.rect_)
+        return ov;
 
     // Rank the region's cores in ascending id order, so the lowest-rank
     // neighbor is also the lowest-id one and the tie-break is unchanged.
+    ov.rank_.assign(static_cast<std::size_t>(n), -1);
     std::vector<int> nodes;
-    nodes.reserve(region.count());
+    nodes.reserve(static_cast<std::size_t>(k));
     for (int id : region) {
-        VNPU_ASSERT(id < n);
         ov.rank_[id] = static_cast<std::int16_t>(nodes.size());
         nodes.push_back(id);
     }
-    const int k = static_cast<int>(nodes.size());
-    ov.k_ = k;
     ov.next_.assign(static_cast<std::size_t>(k) * k,
                     static_cast<std::int16_t>(kInvalidCore));
 

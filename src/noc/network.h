@@ -16,8 +16,8 @@
  * next-hop functions (no materialized path vector), the wormhole
  * per-packet inner loop is collapsed into a closed-form per-link
  * occupancy update (docs/sim_kernel.md derives it), and `RouteOverride`
- * is a region-local next-hop matrix indexed by (current, destination)
- * rank.
+ * answers in closed form for rectangular regions and from a
+ * region-local next-hop matrix otherwise.
  */
 
 #ifndef VNPU_NOC_NETWORK_H
@@ -40,14 +40,26 @@ namespace vnpu::noc {
  * Predefined next hops confining traffic to a core region. Built from
  * the routing-table "direction" fields: for every (current node,
  * destination) pair inside the region it names the next node on a
- * shortest path that never leaves the region.
+ * shortest path that never leaves the region, preferring the
+ * smallest-id neighbour among equal-length choices.
  *
- * Region-local: the k region cores are ranked in ascending id order,
- * and the table is an N-entry mesh-id -> rank map plus a k x k
- * `int16_t` next-hop matrix of mesh ids indexed `rank(cur) * k +
- * rank(dst)` (N = mesh nodes). Host memory is k^2 + N entries, cheap
- * enough to build one table per vNPU; a lookup is three indexed loads
- * on the hottest path of every isolation experiment.
+ * Two representations, chosen by `build_confined` from the region:
+ *
+ * - **Full rectangle** (the region fills its bounding box, as every
+ *   exact placement does): only the box bounds and the mesh width are
+ *   stored. Every Manhattan-shortest step stays inside the box, and
+ *   with ids y*W + x the smallest-id closer neighbour is north, else
+ *   west, else east, else south (docs/sim_kernel.md derives it), so a
+ *   lookup is O(1) arithmetic and host memory is O(1).
+ * - **Any other region** (similar placements, holed regions): the k
+ *   region cores are ranked in ascending id order, and the table is an
+ *   N-entry mesh-id -> rank map plus a k x k `int16_t` next-hop matrix
+ *   of mesh ids indexed `rank(cur) * k + rank(dst)` (N = mesh nodes),
+ *   filled by BFS. Host memory is k^2 + N entries.
+ *
+ * Both answer every query identically to the seed's BFS hash map, and
+ * `size()` is k(k-1) either way: it models the hardware's meta-zone
+ * entries, not host memory.
  */
 class RouteOverride {
   public:
@@ -55,6 +67,8 @@ class RouteOverride {
     int
     next_hop(int cur, int dst) const
     {
+        if (rect_)
+            return rect_next_hop(cur, dst);
         const auto n = static_cast<unsigned>(rank_.size());
         if (static_cast<unsigned>(cur) >= n ||
             static_cast<unsigned>(dst) >= n)
@@ -75,9 +89,9 @@ class RouteOverride {
     }
 
     /**
-     * Build confined shortest-path routing inside `region` via BFS from
-     * every destination over the region's k cores. Deterministic:
-     * prefers the smallest-id neighbor among equal-length choices.
+     * Build confined shortest-path routing inside `region`: the closed
+     * form when the region is a full rectangle, else BFS from every
+     * destination over the region's k cores.
      * @throws SimFatal when `region` does not induce a connected
      *         subgraph of the mesh.
      */
@@ -85,9 +99,48 @@ class RouteOverride {
                                         const CoreSet& region);
 
   private:
+    /**
+     * Closed-form next hop inside the box [x0_, x1_] x [y0_, y1_]. An id
+     * off the mesh (negative or >= W*H) decodes to a point outside the
+     * box, so the box test alone rejects it.
+     */
+    int
+    rect_next_hop(int cur, int dst) const
+    {
+        if (cur == dst)
+            return kInvalidCore;
+        const int cy = cur / w_;
+        const int cx = cur - cy * w_;
+        const int dy = dst / w_;
+        const int dx = dst - dy * w_;
+        if (!in_box(cx, cy) || !in_box(dx, dy))
+            return kInvalidCore;
+        if (dy < cy)
+            return cur - w_;
+        if (dx < cx)
+            return cur - 1;
+        if (dx > cx)
+            return cur + 1;
+        return cur + w_;
+    }
+
+    bool
+    in_box(int x, int y) const
+    {
+        // Unsigned differences: one compare per axis, no overflow.
+        return static_cast<unsigned>(x) - static_cast<unsigned>(x0_) <=
+                   static_cast<unsigned>(x1_ - x0_) &&
+               static_cast<unsigned>(y) - static_cast<unsigned>(y0_) <=
+                   static_cast<unsigned>(y1_ - y0_);
+    }
+
+    int k_ = 0;
+    bool rect_ = false; ///< full rectangle: route in closed form
+    // Full-rectangle representation: inclusive box bounds, mesh width.
+    int x0_ = 0, y0_ = 0, x1_ = 0, y1_ = 0, w_ = 0;
+    // Table representation.
     std::vector<std::int16_t> rank_; ///< mesh id -> rank, -1 outside
     std::vector<std::int16_t> next_; ///< k x k next hops (mesh ids)
-    int k_ = 0;
 };
 
 /** Outcome of a message send. */

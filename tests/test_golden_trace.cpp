@@ -253,44 +253,70 @@ TEST(GoldenRouteOverrideTest, DenseTableMatchesSeedMap)
         expect_routes_match_seed(big, region);
 }
 
+TEST(GoldenRouteOverrideTest, ClosedFormRectanglesMatchSeed)
+{
+    // Full rectangles take the closed-form representation. Check all
+    // 1296 rectangles of an 8x8 mesh, then on 32x32 the corner 1x1s, a
+    // column, a row, the whole mesh and 200 seeded rectangles.
+    MeshTopology topo(8, 8);
+    for (int h = 1; h <= 8; ++h)
+        for (int w = 1; w <= 8; ++w)
+            for (int y0 = 0; y0 + h <= 8; ++y0)
+                for (int x0 = 0; x0 + w <= 8; ++x0)
+                    expect_routes_match_seed(topo,
+                                             block(topo, x0, y0, w, h));
+
+    MeshTopology big(32, 32);
+    std::vector<CoreSet> rects = {
+        block(big, 31, 31, 1, 1),  block(big, 0, 0, 1, 1),
+        block(big, 5, 12, 1, 20),  block(big, 0, 7, 32, 1),
+        block(big, 0, 0, 32, 32),
+    };
+    seed::SeedLcg lcg(0x2EC7ull);
+    while (rects.size() < 205) {
+        const int x0 = static_cast<int>(lcg.next_below(32));
+        const int y0 = static_cast<int>(lcg.next_below(32));
+        const int w = 1 + static_cast<int>(lcg.next_below(32 - x0));
+        const int h = 1 + static_cast<int>(lcg.next_below(32 - y0));
+        rects.push_back(block(big, x0, y0, w, h));
+    }
+    for (const CoreSet& region : rects)
+        expect_routes_match_seed(big, region);
+}
+
 TEST(GoldenRouteOverrideTest, ConfinedSendsMatchSeed)
 {
     SocConfig cfg = SocConfig::Fpga();
     cfg.mesh_x = 8;
     cfg.mesh_y = 8;
     MeshTopology topo(8, 8);
-    CoreSet region;
-    for (int y = 0; y < 4; ++y)
-        for (int x = 0; x < 3; ++x)
-            region |= core_bit(topo.id_of(x, y));
-    region |= core_bit(topo.id_of(3, 3)); // bump for non-rectangular shape
+    // A bumped (table) region, then a full 3x4 rectangle (closed form).
+    const CoreSet rect = block(topo, 0, 0, 3, 4);
+    const CoreSet bumped = rect | core_bit(topo.id_of(3, 3));
 
-    RouteOverride fast_ov = RouteOverride::build_confined(topo, region);
-    seed::SeedRouteOverride seed_ov =
-        seed::SeedRouteOverride::build_confined(topo, region);
+    for (const CoreSet& region : {bumped, rect}) {
+        RouteOverride fast_ov = RouteOverride::build_confined(topo, region);
+        seed::SeedRouteOverride seed_ov =
+            seed::SeedRouteOverride::build_confined(topo, region);
 
-    EventQueue eq;
-    Network fast_net(cfg, topo, eq);
-    seed::SeedEventQueue seq;
-    seed::SeedNoc<> seed_net(cfg, topo, seq);
+        EventQueue eq;
+        Network fast_net(cfg, topo, eq);
+        seed::SeedEventQueue seq;
+        seed::SeedNoc<> seed_net(cfg, topo, seq);
 
-    std::vector<int> nodes;
-    for (int id = 0; id < topo.num_nodes(); ++id)
-        if (region & core_bit(id))
-            nodes.push_back(id);
-
-    Tick t = 0;
-    for (int src : nodes)
-        for (int dst : nodes) {
-            SendResult f =
-                fast_net.send(t, src, dst, 10000, 1, 0, &fast_ov);
-            SendResult s =
-                seed_net.send(t, src, dst, 10000, 1, 0, &seed_ov);
-            EXPECT_EQ(f.sender_free, s.sender_free);
-            EXPECT_EQ(f.delivered, s.delivered);
-            EXPECT_EQ(f.hops, s.hops);
-            t += 1000;
-        }
+        Tick t = 0;
+        for (int src : region)
+            for (int dst : region) {
+                SendResult f =
+                    fast_net.send(t, src, dst, 10000, 1, 0, &fast_ov);
+                SendResult s =
+                    seed_net.send(t, src, dst, 10000, 1, 0, &seed_ov);
+                EXPECT_EQ(f.sender_free, s.sender_free);
+                EXPECT_EQ(f.delivered, s.delivered);
+                EXPECT_EQ(f.hops, s.hops);
+                t += 1000;
+            }
+    }
 }
 
 TEST(GoldenDeterminismTest, TwoRunsProduceIdenticalTraces)

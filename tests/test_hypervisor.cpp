@@ -65,6 +65,45 @@ TEST(HypervisorTest, RectangularRegionsGetCompactTables)
     EXPECT_EQ(v.routing_table().num_entries(), 1);
 }
 
+TEST(HypervisorTest, MetaZoneChargesEveryConfinedPair)
+{
+    // A rectangular region's confined routes take O(1) host memory, but
+    // admission must still charge the meta zone 2 bytes for each of the
+    // k(k-1) (cur, dst) direction entries the hardware stores.
+    VnpuSpec spec;
+    spec.topo = graph::Graph::mesh(4, 4);
+    spec.strategy = MappingStrategy::kExact;
+    spec.memory_bytes = 64ull << 20;
+
+    std::uint64_t required = 0;
+    {
+        Machine m(sim_cfg());
+        Hypervisor hv(m.config(), m.topology(), m.controller());
+        virt::VirtualNpu& v = hv.create(spec);
+        ASSERT_NE(v.confined_routes(), nullptr);
+        EXPECT_EQ(v.confined_routes()->size(), 240u);
+        required = m.controller().meta_bytes(v.vm());
+        EXPECT_EQ(required, v.routing_table().storage_bits() / 8 +
+                                v.range_table().footprint_bytes() +
+                                240u * 2);
+    }
+
+    SocConfig cfg = sim_cfg();
+    cfg.meta_zone_bytes = required - 1;
+    {
+        Machine m(cfg);
+        Hypervisor hv(m.config(), m.topology(), m.controller());
+        EXPECT_THROW(hv.create(spec), SimFatal);
+        EXPECT_EQ(hv.num_free_cores(), m.topology().num_nodes());
+    }
+    cfg.meta_zone_bytes = required;
+    {
+        Machine m(cfg);
+        Hypervisor hv(m.config(), m.topology(), m.controller());
+        EXPECT_EQ(hv.create(spec).num_cores(), 16);
+    }
+}
+
 TEST(HypervisorTest, DestroyReleasesEverything)
 {
     Machine m(sim_cfg());
