@@ -2,8 +2,9 @@
  * @file
  * Google-benchmark micro-benchmarks of the performance-critical
  * simulator kernels: graph edit distance, connected-subset
- * enumeration, range-TLB translation, page-TLB translation, buddy
- * allocation, confined-route builds, NoC sends and the event queue.
+ * enumeration, exact grid probes, range-TLB translation, page-TLB
+ * translation, buddy allocation, confined-route builds, NoC sends and
+ * the event queue.
  * These bound the wall-clock cost of the figure harnesses (the
  * hypervisor's mapper evaluates hundreds of candidates per allocation).
  *
@@ -266,6 +267,42 @@ BM_MapperSimilar1024(benchmark::State& state)
         benchmark::DoNotOptimize(mapper.map(req, free).ted);
 }
 BENCHMARK(BM_MapperSimilar1024)->Arg(16)->Arg(32);
+
+/**
+ * One exact probe of a range(0) x range(0) grid request on a seeded,
+ * fragmented 32x32 free set: the fleet's per-device feasibility
+ * question. A core on every range(0)-th row and column of the lattice
+ * is taken, so every s x s box holds a taken core; range(1) == 1 frees
+ * the south-east s x s block again, so the slide hits near its end.
+ */
+static void
+BM_ExactGridProbe(benchmark::State& state)
+{
+    noc::MeshTopology topo(32, 32);
+    hyp::TopologyMapper mapper(topo);
+    const int s = static_cast<int>(state.range(0));
+    Rng rng(0x9e1d + static_cast<std::uint64_t>(s));
+    CoreSet free = CoreSet::first_n(topo.num_nodes());
+    for (int id = 0; id < topo.num_nodes(); ++id)
+        if (rng.next_below(100) < 15 ||
+            (topo.x_of(id) % s == s - 1 && topo.y_of(id) % s == s - 1))
+            free.reset(id);
+    if (state.range(1) == 1)
+        for (int y = 32 - s; y < 32; ++y)
+            for (int x = 32 - s; x < 32; ++x)
+                free.set(topo.id_of(x, y));
+    hyp::MappingRequest req;
+    req.vtopo = graph::Graph::mesh(s, s);
+    req.strategy = hyp::MappingStrategy::kExact;
+    req.grid_width = hyp::row_major_grid_width(req.vtopo);
+    if (mapper.map(req, free).ok != (state.range(1) == 1))
+        state.SkipWithError("fixture gave the wrong verdict");
+    for (auto _ : state)
+        benchmark::DoNotOptimize(mapper.map(req, free).ok);
+}
+BENCHMARK(BM_ExactGridProbe)
+    ->ArgNames({"side", "hit"})
+    ->ArgsProduct({{4, 16}, {0, 1}});
 
 /** Raw CoreSet kernels at full 1024-bit width. */
 static void

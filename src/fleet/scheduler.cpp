@@ -61,11 +61,17 @@ FleetSimulator::FleetSimulator(const FleetConfig& cfg)
             std::make_unique<FleetDevice>(i, cfg_.device, cfg_.seed));
         total_cores_ += devices_.back()->num_cores();
     }
+    residents_.resize(devices_.size());
     // A class fits iff the mapper admits it on an empty device.
     for (const TenantClass& c : arrivals_.mix()) {
-        const hyp::MappingResult m = devices_.front()->hypervisor().try_map(
-            hyp::request_for(
-                vnpu_spec(c.width, c.height, hyp::MappingStrategy::kExact)));
+        class_req_.push_back(
+            {hyp::request_for(vnpu_spec(c.width, c.height,
+                                        hyp::MappingStrategy::kExact)),
+             hyp::request_for(
+                 vnpu_spec(c.width, c.height,
+                           hyp::MappingStrategy::kStraightforward))});
+        const hyp::MappingResult m =
+            devices_.front()->hypervisor().try_map(class_req_.back().exact);
         if (!m.ok)
             fatal("tenant class '", c.model, "' (", c.width, "x", c.height,
                   ") does not fit a ", cfg_.device.mesh_x, "x",
@@ -135,6 +141,43 @@ FleetSimulator::vnpu_spec(int width, int height,
     return spec;
 }
 
+bool
+FleetSimulator::smaller_first(const Tenant* a, const Tenant* b)
+{
+    const int ca = a->width * a->height;
+    const int cb = b->width * b->height;
+    return ca != cb ? ca < cb : a->request_id < b->request_id;
+}
+
+const FleetSimulator::ClassRequests&
+FleetSimulator::requests_of(int tenant_class) const
+{
+    VNPU_ASSERT(tenant_class >= 0 &&
+                tenant_class < static_cast<int>(class_req_.size()));
+    return class_req_[static_cast<std::size_t>(tenant_class)];
+}
+
+void
+FleetSimulator::add_live(const Tenant& ten)
+{
+    const auto [it, fresh] = live_.emplace(ten.request_id, ten);
+    VNPU_ASSERT(fresh);
+    std::vector<const Tenant*>& list =
+        residents_[static_cast<std::size_t>(ten.device)];
+    list.insert(std::upper_bound(list.begin(), list.end(), &it->second,
+                                 smaller_first),
+                &it->second);
+}
+
+void
+FleetSimulator::erase_live(std::map<std::uint64_t, Tenant>::iterator it)
+{
+    std::vector<const Tenant*>& list =
+        residents_[static_cast<std::size_t>(it->second.device)];
+    list.erase(std::find(list.begin(), list.end(), &it->second));
+    live_.erase(it);
+}
+
 Tick
 FleetSimulator::migration_cost(int cores) const
 {
@@ -194,7 +237,7 @@ FleetSimulator::depart(std::uint64_t request_id, Tick expiry)
         {obs::arg("req", request_id), obs::arg("dev", ten.device),
          obs::arg("vm", static_cast<std::int64_t>(ten.vm)),
          obs::arg("cores", cores)}));
-    live_.erase(it);
+    erase_live(it);
     capacity_dirty_ = true;
     schedule_pass();
 }
@@ -241,6 +284,18 @@ FleetSimulator::decide()
                        "fleet core accounting: used=", used_cores_,
                        " tenants=", tenant_cores, " devices=",
                        device_cores, " total=", total_cores_);
+        // Each resident list is the device's live tenants, smallest
+        // first: what a scan of every live tenant would give.
+        for (std::size_t d = 0; d < devices_.size(); ++d) {
+            std::vector<const Tenant*> scan;
+            for (const auto& [id, ten] : live_)
+                if (ten.device == static_cast<int>(d))
+                    scan.push_back(&ten);
+            std::sort(scan.begin(), scan.end(), smaller_first);
+            VNPU_INVARIANT(scan == residents_[d], "fleet device ", d,
+                           ": resident list holds ", residents_[d].size(),
+                           " tenants, live scan ", scan.size());
+        }
         ++check::counters().fleet_passes;
     })
     // Run end: drop the leftover patience wakes of requests decided
@@ -327,8 +382,7 @@ FleetSimulator::Placement
 FleetSimulator::pick_exact(const FleetRequest& r) const
 {
     VNPU_PROF("fleet.pick_exact");
-    const hyp::MappingRequest req = hyp::request_for(
-        vnpu_spec(r.width, r.height, hyp::MappingStrategy::kExact));
+    const hyp::MappingRequest& req = requests_of(r.tenant_class).exact;
     int best = -1;
     int best_free = 0;
     for (const auto& devp : devices_) {
@@ -425,7 +479,7 @@ FleetSimulator::admit(Tick t, const Queued& q, const Placement& p,
     ten.device = p.device;
     ten.vm = vm.vm();
     ten.expiry = done + q.req.lifetime;
-    live_[q.req.id] = ten;
+    add_live(ten);
     queue_.schedule(ten.expiry, [this, id = ten.request_id,
                                  expiry = ten.expiry] {
         depart(id, expiry);
@@ -491,8 +545,7 @@ FleetSimulator::DefragPlan
 FleetSimulator::plan_defrag(const FleetRequest& r) const
 {
     VNPU_PROF("fleet.plan_defrag");
-    const hyp::MappingRequest ereq = hyp::request_for(
-        vnpu_spec(r.width, r.height, hyp::MappingStrategy::kExact));
+    const hyp::MappingRequest& ereq = requests_of(r.tenant_class).exact;
 
     // Try devices in descending free-core order (ties: lowest id) —
     // the emptiest device needs the fewest migrations.
@@ -505,24 +558,14 @@ FleetSimulator::plan_defrag(const FleetRequest& r) const
         return fa != fb ? fa > fb : a < b;
     });
 
+    // Hypothetical free sets of every device, by device id.
+    std::vector<CoreSet> other_avail(devices_.size());
     for (int d : order) {
         const FleetDevice& dev = *devices_[static_cast<std::size_t>(d)];
-        // Candidate victims on this device, smallest (cheapest) first.
-        std::vector<const Tenant*> resident;
-        for (const auto& [id, ten] : live_)
-            if (ten.device == d)
-                resident.push_back(&ten);
-        std::sort(resident.begin(), resident.end(),
-                  [](const Tenant* a, const Tenant* b) {
-                      const int ca = a->width * a->height;
-                      const int cb = b->width * b->height;
-                      return ca != cb ? ca < cb
-                                      : a->request_id < b->request_id;
-                  });
-
         CoreSet acc = dev.hypervisor().free_cores();
         std::vector<const Tenant*> victims;
-        for (const Tenant* v : resident) {
+        // Candidate victims on this device, smallest (cheapest) first.
+        for (const Tenant* v : residents_[static_cast<std::size_t>(d)]) {
             if (static_cast<int>(victims.size()) >=
                 cfg_.max_defrag_victims)
                 break;
@@ -561,11 +604,8 @@ FleetSimulator::plan_defrag(const FleetRequest& r) const
                                      ? ca > cb
                                      : a->request_id < b->request_id;
                       });
-            std::map<int, CoreSet> other_avail;
-            for (const auto& op : devices_)
-                if (op->id() != d)
-                    other_avail[op->id()] =
-                        op->hypervisor().free_cores();
+            for (std::size_t o = 0; o < devices_.size(); ++o)
+                other_avail[o] = devices_[o]->hypervisor().free_cores();
 
             DefragPlan plan;
             plan.device = d;
@@ -573,12 +613,10 @@ FleetSimulator::plan_defrag(const FleetRequest& r) const
             for (const Tenant* w : moving) {
                 VictimMove mv;
                 mv.request_id = w->request_id;
-                const hyp::MappingRequest wexact = hyp::request_for(
-                    vnpu_spec(w->width, w->height,
-                              hyp::MappingStrategy::kExact));
+                const ClassRequests& wreq = requests_of(w->tenant_class);
                 // Same device, in the space left after the head lands.
                 const hyp::MappingResult wm =
-                    dev.hypervisor().mapper().map(wexact, avail);
+                    dev.hypervisor().mapper().map(wreq.exact, avail);
                 if (wm.ok) {
                     mv.to_device = d;
                     mv.strategy = hyp::MappingStrategy::kExact;
@@ -589,9 +627,13 @@ FleetSimulator::plan_defrag(const FleetRequest& r) const
                 }
                 // Other devices, exact, first-fit.
                 bool placed = false;
-                for (auto& [oid, ofree] : other_avail) {
+                for (int oid = 0; oid < num_devices(); ++oid) {
+                    if (oid == d)
+                        continue;
+                    CoreSet& ofree =
+                        other_avail[static_cast<std::size_t>(oid)];
                     const hyp::MappingResult om =
-                        dev.hypervisor().mapper().map(wexact, ofree);
+                        dev.hypervisor().mapper().map(wreq.exact, ofree);
                     if (!om.ok)
                         continue;
                     mv.to_device = oid;
@@ -606,11 +648,8 @@ FleetSimulator::plan_defrag(const FleetRequest& r) const
                 // isolation, but also no search cost.
                 if (!placed) {
                     const hyp::MappingResult fm =
-                        dev.hypervisor().mapper().map(
-                            hyp::request_for(vnpu_spec(
-                                w->width, w->height,
-                                hyp::MappingStrategy::kStraightforward)),
-                            avail);
+                        dev.hypervisor().mapper().map(wreq.straightforward,
+                                                      avail);
                     if (fm.ok) {
                         mv.to_device = d;
                         mv.strategy =
@@ -649,11 +688,13 @@ FleetSimulator::execute_defrag(Tick t, const DefragPlan& plan,
     std::vector<Tenant> moved;
     moved.reserve(plan.moves.size());
     for (const VictimMove& mv : plan.moves) {
-        Tenant& ten = live_.at(mv.request_id);
+        const auto it = live_.find(mv.request_id);
+        VNPU_ASSERT(it != live_.end());
+        const Tenant& ten = it->second;
         home.hypervisor().destroy(ten.vm);
         note_used_delta(-(ten.width * ten.height));
         moved.push_back(ten);
-        live_.erase(mv.request_id);
+        erase_live(it);
     }
 
     ex.head_vm = &home.hypervisor().create(
@@ -682,7 +723,7 @@ FleetSimulator::execute_defrag(Tick t, const DefragPlan& plan,
             ten.device = mv.to_device;
             ten.vm = nv.vm();
             note_used_delta(cores);
-            live_[ten.request_id] = ten;
+            add_live(ten);
         } catch (const SimFatal&) {
             // The verified plan failed anyway (should not happen): the
             // tenant is preempted back into the queue with its

@@ -23,7 +23,8 @@
  * real or hypothetical, is a `TopologyMapper::map` call on the
  * request `hyp::request_for` derives from the tenant's VnpuSpec: the
  * mapper proves exact grid misses and connected-size misses cheaply,
- * so the scheduler keeps no feasibility logic of its own.
+ * so the scheduler keeps no feasibility logic of its own. Each tenant
+ * class's requests are built once, at construction.
  *
  * Determinism contract: the decision sequence is a pure function of
  * (FleetConfig, seed). All randomness flows through named Rng
@@ -249,6 +250,19 @@ class FleetSimulator {
 
     hyp::VnpuSpec vnpu_spec(int width, int height,
                             hyp::MappingStrategy s) const;
+    /** A tenant class's mapping requests, built once. */
+    struct ClassRequests {
+        hyp::MappingRequest exact;
+        hyp::MappingRequest straightforward; ///< Defrag last resort.
+    };
+    const ClassRequests& requests_of(int tenant_class) const;
+
+    /** Defrag victim order: fewest cores first, ties to lowest id. */
+    static bool smaller_first(const Tenant* a, const Tenant* b);
+    /** Make `ten` live and list it among its device's residents. */
+    void add_live(const Tenant& ten);
+    /** Drop a live tenant and its resident-list entry. */
+    void erase_live(std::map<std::uint64_t, Tenant>::iterator it);
 
     /** Advance the utilization / queue-depth integrals to now(). */
     void advance_integrals();
@@ -305,7 +319,11 @@ class FleetSimulator {
     EventQueue queue_;
     bool pass_scheduled_ = false; ///< A decision pass is queued at now().
     std::deque<Queued> pending_;
-    std::map<std::uint64_t, Tenant> live_; ///< Ordered: victim scans.
+    std::map<std::uint64_t, Tenant> live_; ///< By request id.
+    /** Per device id, its live tenants smallest first (cores, then
+     *  request id): the defrag victim order. Points into `live_`. */
+    std::vector<std::vector<const Tenant*>> residents_;
+    std::vector<ClassRequests> class_req_; ///< By tenant class.
 
     /** The serial admission scheduler frees up at this tick. */
     Tick sched_free_at_ = 0;

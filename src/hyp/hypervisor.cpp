@@ -195,6 +195,8 @@ request_for(const VnpuSpec& spec)
     req.max_candidates = spec.max_candidates;
     req.exact_search_budget = spec.exact_search_budget;
     req.ged = spec.ged;
+    if (req.strategy == MappingStrategy::kExact)
+        req.grid_width = row_major_grid_width(req.vtopo);
     return req;
 }
 

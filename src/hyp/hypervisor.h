@@ -62,7 +62,9 @@ struct HypervisorStats {
 /**
  * The mapper request a spec asks for: `topo` (default: snake mesh of
  * `num_cores`), strategy, budgets and edit costs; NoC isolation
- * requires a connected region.
+ * requires a connected region. An exact request also carries its
+ * recognised `grid_width`, so the mapper need not re-recognise the
+ * grid on every probe.
  * @throws SimFatal when `num_cores` contradicts the size of `topo`.
  */
 MappingRequest request_for(const VnpuSpec& spec);

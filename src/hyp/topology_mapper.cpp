@@ -25,8 +25,11 @@ to_string(MappingStrategy s)
     return "?";
 }
 
-TopologyMapper::TopologyMapper(const noc::MeshTopology& topo) : topo_(topo)
+TopologyMapper::TopologyMapper(const noc::MeshTopology& topo)
+    : has_east_(CoreSet::first_n(topo.num_nodes())), topo_(topo)
 {
+    for (int y = 0; y < topo.height(); ++y)
+        has_east_.reset(topo.id_of(topo.width() - 1, y));
 }
 
 graph::Graph
@@ -520,95 +523,114 @@ shape_variants(const std::vector<std::pair<int, int>>& cells)
 }
 
 /**
- * Anchor-slide every shape variant over the free set. Each anchor test
- * is one `CoreSet::test_range` per rectangle row. Returns true and
- * fills the assignment on the first (variant-major, row-major) hit;
- * `anchors` accumulates placements tried.
+ * The cores c of `s` whose w x h box (c its top-left corner) lies in
+ * `s`, on a row-major mesh `mesh_w` cores wide. Rows wrap, so a core
+ * whose box crosses the east edge may read as set: callers mask those.
+ * A run of `have` cells and a run starting `step <= have` further on
+ * make a run of have + step, so each side costs O(log) shifts.
  */
-bool
-slide_shape(const noc::MeshTopology& topo,
-            const std::vector<ShapeVariant>& variants, const CoreSet& free,
-            std::vector<CoreId>& assignment, std::uint64_t* anchors)
+CoreSet
+erode(CoreSet s, int w, int h, int mesh_w)
 {
-    for (const ShapeVariant& v : variants) {
-        for (int ay = 0; ay + v.h <= topo.height(); ++ay) {
-            for (int ax = 0; ax + v.w <= topo.width(); ++ax) {
-                ++*anchors;
-                bool fits = true;
-                for (const ShapeRect& r : v.rects) {
-                    for (int row = 0; row < r.h && fits; ++row)
-                        fits = free.test_range(
-                            topo.id_of(ax + r.x, ay + r.y + row), r.w);
-                    if (!fits)
-                        break;
-                }
-                if (!fits)
-                    continue;
-                assignment.resize(v.cells.size());
-                for (std::size_t p = 0; p < v.cells.size(); ++p)
-                    assignment[p] = topo.id_of(ax + v.cells[p].first,
-                                               ay + v.cells[p].second);
-                return true;
-            }
-        }
+    for (int have = 1; have < w;) {
+        const int step = std::min(have, w - have);
+        s &= s >> step;
+        have += step;
     }
-    return false;
+    for (int have = 1; have < h;) {
+        const int step = std::min(have, h - have);
+        s &= s >> (step * mesh_w);
+        have += step;
+    }
+    return s;
 }
 
 /**
- * The shape variants of a row-major grid of k cells and width w: the
- * w x (k / w) block with the identity assignment, then, unless square,
- * the transposed block with v -> (v / w, v % w). Equal to
- * `shape_variants` of the grid's cells, without its sort and decompose.
+ * The first row-major anchor (the core id of the top-left corner) at
+ * which a shape with a bw x bh bounding box, covered by `rects`, lies
+ * in `free`, or -1 on a miss. Anchors whose box stays west of the
+ * mesh's east edge, ANDed with the free set eroded by each rectangle
+ * and shifted back by its offset, leave the fitting anchors (a box
+ * past the south edge erodes to nothing); the lowest is the first.
+ * `anchors` gains what a row-major anchor-by-anchor scan would have
+ * tried: ay * (W - bw + 1) + ax + 1 on a hit, every anchor on a miss.
  */
-std::vector<ShapeVariant>
-grid_variants(int w, int k)
+int
+slide(const noc::MeshTopology& topo, const CoreSet& has_east,
+      const CoreSet& free, int bw, int bh, const ShapeRect* rects,
+      std::size_t num_rects, std::uint64_t* anchors)
 {
-    std::vector<ShapeVariant> out(w * w == k ? 1 : 2);
-    for (std::size_t o = 0; o < out.size(); ++o) {
-        ShapeVariant& v = out[o];
-        v.w = o ? k / w : w;
-        v.h = k / v.w;
-        v.cells.resize(k);
-        for (int p = 0; p < k; ++p)
-            v.cells[p] = o ? std::pair{p / w, p % w}
-                           : std::pair{p % w, p / w};
-        v.rects = {{0, 0, v.w, v.h}};
+    const int mesh_w = topo.width();
+    const int nx = mesh_w - bw + 1;
+    const int ny = topo.height() - bh + 1;
+    if (nx <= 0 || ny <= 0)
+        return -1;
+    // x + bw - 1 < W: a run of bw - 1 cores that each have an east
+    // neighbour.
+    const CoreSet cores = CoreSet::first_n(topo.num_nodes());
+    CoreSet fits = bw > 1 ? erode(has_east, bw - 1, 1, mesh_w) : cores;
+    const CoreSet on_mesh = free & cores;
+    for (std::size_t i = 0; i < num_rects; ++i) {
+        const ShapeRect& r = rects[i];
+        fits &= erode(on_mesh, r.w, r.h, mesh_w) >> topo.id_of(r.x, r.y);
     }
-    return out;
+    const int a = fits.lowest();
+    if (a == CoreSet::kCapacity) {
+        *anchors += static_cast<std::uint64_t>(nx) * ny;
+        return -1;
+    }
+    *anchors += static_cast<std::uint64_t>(topo.y_of(a)) * nx +
+                topo.x_of(a) + 1;
+    return a;
 }
 
 constexpr const char* kLockIn =
     "no exact topology match available (topology lock-in)";
 
-/**
- * Width W when `g` is exactly the row-major grid mesh(W, k / W), else 0.
- * Vertex 0's neighbours name the only candidate: {1, W} for W >= 2, {1}
- * for a path (read as a 1 x k column) and none for a single core.
- */
+} // namespace
+
 int
 row_major_grid_width(const graph::Graph& g)
 {
     VNPU_PROF("mapper.exact.recognize");
     const int k = g.num_nodes();
+    if (k <= 0)
+        return 0;
+    // Vertex 0's neighbours name the only candidate: {1, W} for
+    // W >= 2, {1} for a path and none for a single core.
     const graph::NodeMask& nb = g.neighbors(0);
     const int w = nb.count() == 2 && nb.test(1) ? nb.next(2) : 1;
     if (nb.count() > 2 || k % w != 0)
         return 0;
-    return g == graph::Graph::mesh(w, k / w) ? w : 0;
+    for (int v = 0; v < k; ++v) {
+        graph::NodeMask want;
+        if (v % w > 0)
+            want.set(v - 1);
+        if (v % w + 1 < w)
+            want.set(v + 1);
+        if (v >= w)
+            want.set(v - w);
+        if (v + w < k)
+            want.set(v + w);
+        if (g.label(v) != 0 || g.neighbors(v) != want)
+            return 0;
+    }
+    return w;
 }
-
-} // namespace
 
 MappingResult
 TopologyMapper::map_exact(const MappingRequest& req, const CoreSet& free) const
 {
     MappingResult res;
     std::uint64_t seen = 0;
+    const int k = req.vtopo.num_nodes();
+    const int gw = req.grid_width >= 0 ? req.grid_width
+                                       : row_major_grid_width(req.vtopo);
 
     // An exact image of a disconnected request is itself disconnected;
     // honor R-3 up front instead of tripping isolation checks later.
-    if (req.require_connected && !req.vtopo.is_connected()) {
+    // A grid is connected.
+    if (req.require_connected && !gw && !req.vtopo.is_connected()) {
         res.error = "disconnected request topology with "
                     "require_connected set";
         return res;
@@ -625,41 +647,50 @@ TopologyMapper::map_exact(const MappingRequest& req, const CoreSet& free) const
         };
     }
 
-    // Slide the symmetry variants of one cell shape over the free set;
-    // true when `res` is final: a hit, or a proven miss for a grid.
-    // Grids with W, H >= 2 are rigid: every 4-cycle must land on a
-    // lattice unit square, so an induced embedding is an axis-aligned
-    // rectangle in one of the two orientations the slide tries.
-    const int k = req.vtopo.num_nodes();
-    auto slide = [&](const std::vector<ShapeVariant>& variants) {
-        res.ok = slide_shape(topo_, variants, free, res.assignment, &seen);
-        res.candidates_considered = seen;
-        const ShapeVariant& v = variants.front();
-        const bool rigid = v.w >= 2 && v.h >= 2 && v.w * v.h == k;
-        if (!res.ok && rigid)
-            res.error = kLockIn;
-        return res.ok || rigid;
-    };
-
     // Phase 1 — sliding rectangle. A row-major mesh(W, H) request (the
     // dominant case) slides as a W x H block with the identity
-    // assignment, then as an H x W block with the transpose, anchors in
-    // row-major order; a miss spends no search budget. Its labels are
-    // all 0, like the unlabeled host's. Paths (W == 1) can bend around
-    // obstacles and fall through to phases 2 and 3.
-    const int gw = row_major_grid_width(req.vtopo);
+    // assignment, then as an H x W block with the transpose; only a
+    // hit builds its assignment. Its labels are all 0, like the
+    // unlabeled host's. Grids with W, H >= 2 are rigid: every 4-cycle
+    // must land on a lattice unit square, so an induced embedding is
+    // an axis-aligned rectangle in one of these two orientations and a
+    // miss is a proof that spends no search budget. Paths (W == 1) can
+    // bend around obstacles and fall through to phases 2 and 3.
     if (gw && (!iso.node_compat || iso.node_compat(0, 0))) {
         VNPU_PROF("mapper.exact.rect");
-        if (slide(grid_variants(gw, k)))
+        const int gh = k / gw;
+        for (int o = 0; o < (gw == gh ? 1 : 2); ++o) {
+            const ShapeRect box{0, 0, o ? gh : gw, o ? gw : gh};
+            const int a =
+                slide(topo_, has_east_, free, box.w, box.h, &box, 1, &seen);
+            if (a < 0)
+                continue;
+            // Grid cell (gx, gy) lands gx east and gy south of the
+            // anchor, or, transposed, gy east and gx south.
+            const int step_x = o ? topo_.width() : 1;
+            const int step_y = o ? 1 : topo_.width();
+            res.ok = true;
+            res.assignment.resize(k);
+            for (int gy = 0, v = 0; gy < gh; ++gy)
+                for (int gx = 0; gx < gw; ++gx, ++v)
+                    res.assignment[v] = a + gx * step_x + gy * step_y;
+            break;
+        }
+        res.candidates_considered = seen;
+        if (res.ok)
             return res;
+        if (gw >= 2 && gh >= 2) {
+            res.error = kLockIn;
+            return res;
+        }
     }
 
     // Phase 2 — polyomino slide. Embed the request once into the
     // unconstrained mesh; a hit yields a cell shape whose 8 symmetries
-    // slide over the free set in O(rects) bit tests per anchor
-    // (translation preserves host labels: `to_graph()` meshes are
-    // unlabeled). The search's degree-sequence prefilter refutes a
-    // request of degree > 4 in 0 steps.
+    // slide over the free set, one erosion per rectangle of its
+    // decomposition (translation preserves host labels: `to_graph()`
+    // meshes are unlabeled). The search's degree-sequence prefilter
+    // refutes a request of degree > 4 in 0 steps.
     graph::Graph mesh = topo_.to_graph();
     {
         VNPU_PROF("mapper.exact.slide");
@@ -677,14 +708,33 @@ TopologyMapper::map_exact(const MappingRequest& req, const CoreSet& free) const
                               "the physical mesh";
             return res;
         }
-        // A grid in any vertex order embeds as a full rectangle, so
-        // rigidity refutes it here too, without a phase-3 search.
         std::vector<std::pair<int, int>> cells(k);
         for (int v = 0; v < k; ++v)
             cells[v] = {topo_.x_of(shape.mapping[v]),
                         topo_.y_of(shape.mapping[v])};
-        if (slide(shape_variants(cells)))
+        const std::vector<ShapeVariant> variants = shape_variants(cells);
+        for (const ShapeVariant& sv : variants) {
+            const int a = slide(topo_, has_east_, free, sv.w, sv.h,
+                                sv.rects.data(), sv.rects.size(), &seen);
+            if (a < 0)
+                continue;
+            res.ok = true;
+            res.assignment.resize(k);
+            for (int v = 0; v < k; ++v)
+                res.assignment[v] =
+                    a + topo_.id_of(sv.cells[v].first, sv.cells[v].second);
+            break;
+        }
+        res.candidates_considered = seen;
+        if (res.ok)
             return res;
+        // A grid in any vertex order embeds as a full rectangle, so
+        // rigidity refutes it here too, without a phase-3 search.
+        const ShapeVariant& sv = variants.front();
+        if (sv.w >= 2 && sv.h >= 2 && sv.w * sv.h == k) {
+            res.error = kLockIn;
+            return res;
+        }
     }
 
     // Phase 3 — anchored VF2 over the free-core induced subgraph. The
@@ -721,7 +771,7 @@ TopologyMapper::map_straightforward(const MappingRequest& req,
     std::vector<int> nodes = graph::Graph::mask_to_nodes(free);
     nodes.resize(k); // lowest ids first (zig-zag over the mesh rows)
 
-    graph::Graph sub = topo_.to_graph().induced(nodes);
+    const graph::Graph sub = topo_.induced(nodes);
     // Identity order: virtual core v sits on the v-th lowest free core.
     std::vector<int> identity(k);
     for (int v = 0; v < k; ++v)

@@ -10,9 +10,11 @@
  *    included) ask `map()` and read `ok`. Every phase admits a node
  *    substitution under one rule: equal labels, or `node_cost(a, b)
  *    == 0` when `ged.node_cost` is set. A row-major W x H grid
- *    request slides over the free set in both orientations; for
- *    W, H >= 2 grid rigidity makes a miss there a proof, returned
- *    without spending search budget. Other requests go on to a
+ *    request (recognised once, `MappingRequest::grid_width`) slides
+ *    over the free set in both orientations, each slide one
+ *    bit-parallel erosion of the free set; for W, H >= 2 grid rigidity
+ *    makes a miss there a proof, returned without spending search
+ *    budget. Other requests go on to a
  *    rectangle-decomposed polyomino slide of one grid embedding (8
  *    symmetries; a grid in any vertex order is again refuted by
  *    rigidity), then an anchored VF2-style induced-isomorphism search,
@@ -76,6 +78,14 @@ struct MappingRequest {
     /** Edit-cost customization (heterogeneous nodes/edges). */
     graph::GedOptions ged;
     /**
+     * Derived from `vtopo`, not an option: W when `vtopo` is exactly
+     * the row-major grid `Graph::mesh(W, k / W)`, 0 when it is not,
+     * -1 when not yet recognised. `request_for` records it for exact
+     * requests; `map` recognises a request still at -1 on entry. A
+     * request whose `vtopo` changes must be rebuilt, not patched.
+     */
+    int grid_width = -1;
+    /**
      * Enable the staged candidate-scoring funnel for the similar /
      * fragmented strategies (TED-0 early exit, admissible lower-bound
      * pruning, score memoization, pooled scoring). Decisions are
@@ -134,6 +144,13 @@ struct MappingResult {
     std::string error;
     FunnelCounters funnel; ///< Similar/fragmented strategies only.
 };
+
+/**
+ * W when `g` is exactly the row-major grid `Graph::mesh(W, k / W)`
+ * (unlabelled; a path is the 1 x k column, a single core 1 x 1), else
+ * 0. O(k) over the adjacency lists; builds no graph.
+ */
+int row_major_grid_width(const graph::Graph& g);
 
 /** Maps requested virtual topologies onto free physical cores. */
 class TopologyMapper {
@@ -207,6 +224,9 @@ class TopologyMapper {
      *  const and the memo is a pure cache. */
     mutable std::unordered_map<MemoKey, MemoEntry, MemoKeyHash> memo_;
 
+    /** Mesh cores with an east neighbour (x < W - 1): the exact
+     *  slide's anchor mask (docs/sim_kernel.md, "Exact mapping"). */
+    CoreSet has_east_;
     const noc::MeshTopology& topo_;
 };
 

@@ -1,5 +1,6 @@
 #include "noc/topology.h"
 
+#include <algorithm>
 #include <cstdlib>
 
 #include "sim/log.h"
@@ -81,6 +82,29 @@ graph::Graph
 MeshTopology::to_graph() const
 {
     return graph::Graph::mesh(w_, h_);
+}
+
+graph::Graph
+MeshTopology::induced(const std::vector<int>& ids) const
+{
+    const int k = static_cast<int>(ids.size());
+    auto rank_of = [&ids](int id) {
+        auto it = std::lower_bound(ids.begin(), ids.end(), id);
+        return it != ids.end() && *it == id
+                   ? static_cast<int>(it - ids.begin())
+                   : -1;
+    };
+    graph::Graph g(k);
+    for (int i = 0; i < k; ++i) {
+        VNPU_ASSERT(valid(ids[i]) && (i == 0 || ids[i - 1] < ids[i]));
+        const int east = x_of(ids[i]) + 1 < w_ ? rank_of(ids[i] + 1) : -1;
+        const int south = rank_of(ids[i] + w_);
+        if (east >= 0)
+            g.add_edge(i, east);
+        if (south >= 0)
+            g.add_edge(i, south);
+    }
+    return g;
 }
 
 int

@@ -73,6 +73,14 @@ class MeshTopology {
     graph::Graph to_graph() const;
 
     /**
+     * `to_graph().induced(ids)` from mesh coordinates alone, in
+     * O(k log k) and without building the whole mesh: node i is
+     * ids[i], linked to its east and south mesh neighbours among ids.
+     * @pre ids ascending, each valid
+     */
+    graph::Graph induced(const std::vector<int>& ids) const;
+
+    /**
      * HBM channel serving node `id` when the chip has `channels`
      * channels: interfaces are on the west edge, one per row.
      */

@@ -178,28 +178,6 @@ class CoreSet {
         panic("CoreSet::nth beyond population");
     }
 
-    /** True when every bit of [start, start + len) is set (word-wise). */
-    constexpr bool
-    test_range(int start, int len) const
-    {
-        VNPU_ASSERT(start >= 0 && len >= 0 && start + len <= kCapacity);
-        int wi = start >> 6;
-        int off = start & 63;
-        while (len > 0) {
-            const int take = len < 64 - off ? len : 64 - off;
-            const std::uint64_t mask =
-                (take == 64 ? ~std::uint64_t{0}
-                            : (std::uint64_t{1} << take) - 1)
-                << off;
-            if ((w_[wi] & mask) != mask)
-                return false;
-            len -= take;
-            off = 0;
-            ++wi;
-        }
-        return true;
-    }
-
     /** Remove and return the lowest set bit. @pre any() */
     constexpr int
     pop_lowest()
@@ -299,6 +277,32 @@ class CoreSet {
         CoreSet r;
         for (int w = 0; w < kWords; ++w)
             r.w_[w] = ~w_[w];
+        return r;
+    }
+
+    /**
+     * Word-wise right shift: id i of the result is id i + n of this
+     * set (ids past kCapacity read as 0). On a row-major W-wide mesh,
+     * `s & (s >> 1)` keeps the cores whose east neighbour is also in
+     * `s`, and `s & (s >> W)` those whose south neighbour is.
+     */
+    constexpr CoreSet
+    operator>>(int n) const
+    {
+        VNPU_ASSERT(n >= 0);
+        CoreSet r;
+        const int q = n >> 6;
+        const int b = n & 63;
+        if (q >= kWords)
+            return r;
+        if (b == 0) {
+            for (int w = 0; w + q < kWords; ++w)
+                r.w_[w] = w_[w + q];
+            return r;
+        }
+        for (int w = 0; w + q + 1 < kWords; ++w)
+            r.w_[w] = w_[w + q] >> b | w_[w + q + 1] << (64 - b);
+        r.w_[kWords - 1 - q] = w_[kWords - 1] >> b;
         return r;
     }
 

@@ -19,6 +19,7 @@ VirtualNpu::VirtualNpu(VmId vm, std::vector<CoreId> cores,
         if (rt_.lookup(v) != cores_[v])
             fatal("routing table disagrees with core list at vcore ", v);
     }
+    mask_ = CoreSet::from_range(cores_);
 }
 
 CoreId
@@ -27,12 +28,6 @@ VirtualNpu::phys_of(CoreId vcore) const
     if (vcore < 0 || vcore >= num_cores())
         fatal("virtual core ", vcore, " out of range for vm ", vm_);
     return cores_[vcore];
-}
-
-CoreSet
-VirtualNpu::mask() const
-{
-    return CoreSet::from_range(cores_);
 }
 
 void

@@ -39,7 +39,7 @@ class VirtualNpu {
     const std::vector<CoreId>& cores() const { return cores_; }
 
     /** Set of occupied physical cores. */
-    CoreSet mask() const;
+    const CoreSet& mask() const { return mask_; }
 
     /** The virtual topology the tenant sees. */
     const graph::Graph& vtopo() const { return vtopo_; }
@@ -110,6 +110,7 @@ class VirtualNpu {
   private:
     VmId vm_;
     std::vector<CoreId> cores_;
+    CoreSet mask_; ///< cores_ as a set.
     graph::Graph vtopo_;
     RoutingTable rt_;
     std::optional<noc::RouteOverride> confined_;

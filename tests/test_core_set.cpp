@@ -169,23 +169,27 @@ TEST(CoreSetTest, NthSelectsAscendingSetBits)
     }
 }
 
-TEST(CoreSetTest, TestRangeChecksContiguousRuns)
+TEST(CoreSetTest, RightShiftMatchesBitByBitReference)
 {
-    CoreSet s;
-    for (int i = 60; i < 70; ++i)
-        s.set(i); // crosses the word boundary
-    EXPECT_TRUE(s.test_range(60, 10));
-    EXPECT_TRUE(s.test_range(63, 2));
-    EXPECT_TRUE(s.test_range(65, 0)); // empty run is trivially set
-    EXPECT_FALSE(s.test_range(59, 2));
-    EXPECT_FALSE(s.test_range(60, 11));
-    EXPECT_FALSE(s.test_range(0, 1));
-
-    // A full 128-bit run spanning two whole words plus fringes.
-    CoreSet wide = CoreSet::first_n(200).andnot(CoreSet::first_n(50));
-    EXPECT_TRUE(wide.test_range(50, 150));
-    EXPECT_FALSE(wide.test_range(49, 151));
-    EXPECT_FALSE(wide.test_range(50, 151));
+    Rng rng(0x5417);
+    CoreSet sparse, dense;
+    for (int i = 0; i < CoreSet::kCapacity; ++i) {
+        if (rng.next_below(100) < 10)
+            sparse.set(i);
+        if (rng.next_below(100) < 90)
+            dense.set(i);
+    }
+    const CoreSet full = CoreSet::first_n(CoreSet::kCapacity);
+    for (const CoreSet& s : {sparse, dense, full}) {
+        for (int n : {0, 1, 63, 64, 65, 960, 1023, 1024}) {
+            const CoreSet r = s >> n;
+            for (int i = 0; i < CoreSet::kCapacity; ++i) {
+                const bool want =
+                    i + n < CoreSet::kCapacity && s.test(i + n);
+                ASSERT_EQ(r.test(i), want) << "shift " << n << " bit " << i;
+            }
+        }
+    }
 }
 
 TEST(CoreSetTest, TypesHelpersAgree)

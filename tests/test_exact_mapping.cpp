@@ -14,6 +14,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <set>
 #include <utility>
@@ -120,6 +121,31 @@ expect_exact_placement(const graph::Graph& mesh,
             EXPECT_EQ(vtopo.has_edge(u, v),
                       mesh.has_edge(assignment[u], assignment[v]))
                 << "virtual pair (" << u << "," << v << ")";
+}
+
+/**
+ * Seeded fragmentation of a whole mesh: scattered dead cores plus
+ * occupied blocks, denser for odd seeds.
+ */
+CoreSet
+fragmented_free(const noc::MeshTopology& topo, std::uint64_t seed)
+{
+    const int n = topo.num_nodes();
+    Rng rng(0x5bec + seed * 131 + static_cast<std::uint64_t>(n));
+    CoreSet free = CoreSet::first_n(n);
+    for (int i = 0; i < n; ++i)
+        if (rng.next_below(100) < (seed % 2 ? 25u : 8u))
+            free.reset(i);
+    for (int b = 0; b < n / 32; ++b) {
+        const int x0 = static_cast<int>(rng.next_below(topo.width()));
+        const int y0 = static_cast<int>(rng.next_below(topo.height()));
+        const int bw = 1 + static_cast<int>(rng.next_below(5));
+        const int bh = 1 + static_cast<int>(rng.next_below(5));
+        for (int y = y0; y < std::min(topo.height(), y0 + bh); ++y)
+            for (int x = x0; x < std::min(topo.width(), x0 + bw); ++x)
+                free.reset(topo.id_of(x, y));
+    }
+    return free;
 }
 
 MappingRequest
@@ -472,6 +498,8 @@ TEST(ExactScaleTest, BudgetBoundsWorkAndIsReported)
  * v -> (ax + v / W, ay + v % W). A path reads as a 1 x k column first.
  * For W, H >= 2 a miss of both scans is a proof that spends no budget;
  * a path may still bend around obstacles (phases 2 and 3).
+ * `candidates_considered` counts the anchors this scan tries, up to the
+ * hit or all of them.
  */
 TEST(ExactScaleTest, GridRequestsFollowTheRectangleSpec)
 {
@@ -479,28 +507,14 @@ TEST(ExactScaleTest, GridRequestsFollowTheRectangleSpec)
         int w, h;
     };
     int hits = 0, transposed_hits = 0, misses = 0;
-    for (Dims mesh_dims : {Dims{8, 8}, Dims{16, 8}, Dims{32, 32}}) {
+    // 12- and 40-wide rows straddle 64-bit words of the free set.
+    for (Dims mesh_dims : {Dims{8, 8}, Dims{16, 8}, Dims{32, 32},
+                           Dims{12, 10}, Dims{40, 25}}) {
         noc::MeshTopology topo(mesh_dims.w, mesh_dims.h);
         TopologyMapper mapper(topo);
         graph::Graph mesh = topo.to_graph();
-        const int n = topo.num_nodes();
         for (std::uint64_t seed = 0; seed < 6; ++seed) {
-            // Seeded fragmentation: scattered dead cores plus occupied
-            // blocks, denser for odd seeds.
-            Rng rng(0x5bec + seed * 131 + static_cast<std::uint64_t>(n));
-            CoreSet free = CoreSet::first_n(n);
-            for (int i = 0; i < n; ++i)
-                if (rng.next_below(100) < (seed % 2 ? 25u : 8u))
-                    free.reset(i);
-            for (int b = 0; b < n / 32; ++b) {
-                const int x0 = static_cast<int>(rng.next_below(mesh_dims.w));
-                const int y0 = static_cast<int>(rng.next_below(mesh_dims.h));
-                const int bw = 1 + static_cast<int>(rng.next_below(5));
-                const int bh = 1 + static_cast<int>(rng.next_below(5));
-                for (int y = y0; y < std::min(mesh_dims.h, y0 + bh); ++y)
-                    for (int x = x0; x < std::min(mesh_dims.w, x0 + bw); ++x)
-                        free.reset(topo.id_of(x, y));
-            }
+            const CoreSet free = fragmented_free(topo, seed);
             for (int w = 1; w <= 8; ++w) {
                 for (int h = 1; h <= 8; ++h) {
                     const int k = w * h;
@@ -510,7 +524,9 @@ TEST(ExactScaleTest, GridRequestsFollowTheRectangleSpec)
                     const int gw = std::min(w, h) == 1 ? 1 : w;
                     const int gh = k / gw;
                     std::vector<CoreId> expect;
-                    for (int o = 0; o < 2 && expect.empty(); ++o) {
+                    std::uint64_t anchors = 0; // tried, in scan order
+                    for (int o = 0; o < (gw == gh ? 1 : 2) && expect.empty();
+                         ++o) {
                         const int rw = o ? gh : gw, rh = o ? gw : gh;
                         for (int ay = 0; ay + rh <= topo.height() &&
                                          expect.empty();
@@ -518,6 +534,7 @@ TEST(ExactScaleTest, GridRequestsFollowTheRectangleSpec)
                             for (int ax = 0; ax + rw <= topo.width() &&
                                              expect.empty();
                                  ++ax) {
+                                ++anchors;
                                 bool fits = true;
                                 for (int c = 0; c < k && fits; ++c)
                                     fits = free.test(topo.id_of(
@@ -544,11 +561,16 @@ TEST(ExactScaleTest, GridRequestsFollowTheRectangleSpec)
                         ASSERT_TRUE(r.ok);
                         EXPECT_EQ(r.assignment, expect);
                         EXPECT_EQ(r.search_steps, 0u);
+                        EXPECT_EQ(r.candidates_considered, anchors);
                     } else if (w >= 2 && h >= 2) {
                         ++misses;
                         EXPECT_FALSE(r.ok);
                         EXPECT_FALSE(r.budget_exhausted);
                         EXPECT_EQ(r.search_steps, 0u);
+                        EXPECT_EQ(r.candidates_considered, anchors);
+                    } else {
+                        // A path goes on to slide its phase-2 shape.
+                        EXPECT_GE(r.candidates_considered, anchors);
                     }
                     if (r.ok)
                         expect_exact_placement(mesh, pattern, free,
@@ -561,6 +583,169 @@ TEST(ExactScaleTest, GridRequestsFollowTheRectangleSpec)
     EXPECT_GT(hits, 100);
     EXPECT_GT(transposed_hits, 10);
     EXPECT_GT(misses, 20);
+}
+
+/**
+ * Grid recognition is the old whole-graph test: W exactly when the
+ * request equals `Graph::mesh(W, k / W)`. Checked on every grid up to
+ * 8 x 8 and on near-misses of each (an extra edge, a missing edge, a
+ * label, a relabelled vertex order).
+ */
+TEST(ExactScaleTest, GridRecognitionMatchesMeshEquality)
+{
+    auto reference = [](const graph::Graph& g) {
+        const int k = g.num_nodes();
+        for (int w = 1; w <= k; ++w)
+            if (k % w == 0 && g == graph::Graph::mesh(w, k / w))
+                return w;
+        return 0;
+    };
+    int grids = 0;
+    for (int w = 1; w <= 8; ++w) {
+        for (int h = 1; h <= 8; ++h) {
+            const graph::Graph grid = graph::Graph::mesh(w, h);
+            const int k = w * h;
+            std::vector<graph::Graph> variants{grid};
+            if (k >= 3) {
+                graph::Graph extra = grid;
+                extra.add_edge(0, k - 1);
+                variants.push_back(extra);
+                graph::Graph labelled = grid;
+                labelled.set_label(k - 1, 2);
+                variants.push_back(labelled);
+                graph::Graph shifted(k);
+                for (auto [u, v] : grid.edges())
+                    shifted.add_edge((u + 1) % k, (v + 1) % k);
+                variants.push_back(shifted);
+            }
+            if (grid.num_edges() > 0) {
+                graph::Graph missing(k);
+                const auto edges = grid.edges();
+                for (std::size_t e = 0; e + 1 < edges.size(); ++e)
+                    missing.add_edge(edges[e].first, edges[e].second);
+                variants.push_back(missing);
+            }
+            for (const graph::Graph& g : variants) {
+                const int want = reference(g);
+                EXPECT_EQ(row_major_grid_width(g), want)
+                    << w << "x" << h << " variant";
+                grids += want > 0;
+            }
+        }
+    }
+    EXPECT_GE(grids, 64);
+}
+
+/**
+ * Placement spec of phase 2, kept here as a per-anchor scan: the
+ * request's first embedding in the whole mesh gives a cell shape; its 8
+ * symmetries (transpose, then x and y flips; normalized; congruent
+ * repeats dropped) each scan the anchors in row-major order, and the
+ * first anchor where every cell is free is the placement. Requests are
+ * L and T polyominoes, so phase 1 never takes them.
+ */
+TEST(ExactScaleTest, PolyominoRequestsFollowTheSlideSpec)
+{
+    using Cells = std::vector<std::pair<int, int>>;
+    const std::vector<Cells> shapes{l_shape(4, 3, 2), l_shape(5, 4, 2),
+                                    t_shape(5, 3, 1), t_shape(6, 4, 2),
+                                    t_shape(7, 5, 1)};
+    struct Dims {
+        int w, h;
+    };
+    int hits = 0, misses = 0;
+    for (Dims mesh_dims : {Dims{8, 8}, Dims{12, 10}, Dims{40, 25}}) {
+        noc::MeshTopology topo(mesh_dims.w, mesh_dims.h);
+        TopologyMapper mapper(topo);
+        const graph::Graph mesh = topo.to_graph();
+        for (const Cells& shape : shapes) {
+            const graph::Graph pattern = shape_graph(shape);
+            const int k = pattern.num_nodes();
+            ASSERT_EQ(row_major_grid_width(pattern), 0);
+            graph::IsoOptions iso;
+            iso.max_steps = graph::kDefaultIsoSearchBudget;
+            const graph::IsoResult embed = graph::find_induced_isomorphism(
+                pattern, mesh, CoreSet::first_n(topo.num_nodes()), iso);
+            ASSERT_TRUE(embed.found);
+            std::vector<Cells> variants;
+            std::vector<Cells> seen_sets;
+            for (int t = 0; t < 8; ++t) {
+                Cells v(k);
+                for (int p = 0; p < k; ++p) {
+                    int x = topo.x_of(embed.mapping[p]);
+                    int y = topo.y_of(embed.mapping[p]);
+                    if (t & 4)
+                        std::swap(x, y);
+                    v[p] = {t & 1 ? -x : x, t & 2 ? -y : y};
+                }
+                int min_x = v[0].first, min_y = v[0].second;
+                for (auto [x, y] : v) {
+                    min_x = std::min(min_x, x);
+                    min_y = std::min(min_y, y);
+                }
+                for (auto& [x, y] : v) {
+                    x -= min_x;
+                    y -= min_y;
+                }
+                Cells key = v;
+                std::sort(key.begin(), key.end());
+                if (std::find(seen_sets.begin(), seen_sets.end(), key) !=
+                    seen_sets.end())
+                    continue;
+                seen_sets.push_back(key);
+                variants.push_back(v);
+            }
+            for (std::uint64_t seed = 0; seed < 6; ++seed) {
+                const CoreSet free = fragmented_free(topo, seed);
+                std::vector<CoreId> expect;
+                std::uint64_t anchors = 0;
+                for (const Cells& v : variants) {
+                    int bw = 0, bh = 0;
+                    for (auto [x, y] : v) {
+                        bw = std::max(bw, x + 1);
+                        bh = std::max(bh, y + 1);
+                    }
+                    for (int ay = 0; ay + bh <= topo.height() &&
+                                     expect.empty();
+                         ++ay)
+                        for (int ax = 0;
+                             ax + bw <= topo.width() && expect.empty();
+                             ++ax) {
+                            ++anchors;
+                            bool fits = true;
+                            for (auto [x, y] : v)
+                                fits = fits &&
+                                       free.test(topo.id_of(ax + x, ay + y));
+                            if (!fits)
+                                continue;
+                            for (auto [x, y] : v)
+                                expect.push_back(topo.id_of(ax + x, ay + y));
+                        }
+                    if (!expect.empty())
+                        break;
+                }
+                MappingResult r = mapper.map(exact_request(pattern), free);
+                SCOPED_TRACE(testing::Message()
+                             << mesh_dims.w << "x" << mesh_dims.h << " seed "
+                             << seed << " shape of " << k << " cells");
+                EXPECT_EQ(r.candidates_considered, anchors);
+                if (!expect.empty()) {
+                    ++hits;
+                    ASSERT_TRUE(r.ok);
+                    EXPECT_EQ(r.assignment, expect);
+                    EXPECT_EQ(r.search_steps, embed.steps);
+                } else {
+                    // Phase 3 may still find an incongruent embedding.
+                    ++misses;
+                    if (r.ok)
+                        expect_exact_placement(mesh, pattern, free,
+                                               r.assignment);
+                }
+            }
+        }
+    }
+    EXPECT_GT(hits, 30);
+    EXPECT_GT(misses, 5);
 }
 
 /**

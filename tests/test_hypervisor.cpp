@@ -52,6 +52,27 @@ TEST(HypervisorTest, CreatesVnpuWithAllResources)
         EXPECT_EQ(v.routing_table().lookup(i), v.cores()[i]);
 }
 
+TEST(HypervisorTest, RequestForRecordsExactGridWidth)
+{
+    auto width_of = [](graph::Graph g, MappingStrategy s) {
+        VnpuSpec spec;
+        spec.topo = std::move(g);
+        spec.strategy = s;
+        return request_for(spec).grid_width;
+    };
+    EXPECT_EQ(width_of(graph::Graph::mesh(4, 2), MappingStrategy::kExact),
+              4);
+    EXPECT_EQ(width_of(graph::Graph::mesh(5, 1), MappingStrategy::kExact),
+              1);
+    EXPECT_EQ(width_of(TopologyMapper::snake_topology(6),
+                       MappingStrategy::kExact),
+              0);
+    // Only the exact strategy reads it; the others leave it unset.
+    EXPECT_EQ(width_of(graph::Graph::mesh(4, 2),
+                       MappingStrategy::kSimilarTopology),
+              -1);
+}
+
 TEST(HypervisorTest, RectangularRegionsGetCompactTables)
 {
     Machine m(sim_cfg());

@@ -9,6 +9,7 @@
 
 #include "hyp/topology_mapper.h"
 #include "sim/log.h"
+#include "sim/rng.h"
 
 namespace vnpu::hyp {
 namespace {
@@ -115,6 +116,32 @@ TEST(MapperTest, StraightforwardTakesLowestIds)
     ASSERT_TRUE(r.ok);
     EXPECT_EQ(r.assignment, (std::vector<CoreId>{0, 3, 4, 5}));
     EXPECT_GT(r.ted, 0.0); // {0,3,4,5} is not a 2x2 mesh
+}
+
+TEST(MapperTest, StraightforwardTedIsThatOfTheFullMeshInduced)
+{
+    noc::MeshTopology topo(12, 10);
+    TopologyMapper mapper(topo);
+    const graph::Graph mesh = topo.to_graph();
+    Rng rng(0x57f0);
+    CoreSet free = all_cores(topo);
+    for (int id = 0; id < topo.num_nodes(); ++id)
+        if (rng.next_below(100) < 30)
+            free.reset(id);
+    for (int k : {1, 5, 16, 40}) {
+        MappingRequest req;
+        req.vtopo = TopologyMapper::snake_topology(k);
+        req.strategy = MappingStrategy::kStraightforward;
+        MappingResult r = mapper.map(req, free);
+        ASSERT_TRUE(r.ok);
+        std::vector<int> identity(k);
+        for (int v = 0; v < k; ++v)
+            identity[v] = v;
+        EXPECT_EQ(r.ted, graph::ged_mapping_cost(req.vtopo,
+                                                 mesh.induced(r.assignment),
+                                                 identity, req.ged))
+            << k << " cores";
+    }
 }
 
 TEST(MapperTest, SimilarBeatsStraightforwardOnFragmentedMesh)

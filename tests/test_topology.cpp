@@ -5,8 +5,11 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "noc/topology.h"
 #include "sim/log.h"
+#include "sim/rng.h"
 
 namespace vnpu::noc {
 namespace {
@@ -131,6 +134,28 @@ TEST(TopologyTest, ToGraphMatchesMesh)
     EXPECT_EQ(g.num_edges(), 7);
     EXPECT_TRUE(g.has_edge(0, 1));
     EXPECT_TRUE(g.has_edge(2, 5));
+}
+
+TEST(TopologyTest, InducedMatchesFullMeshInduced)
+{
+    struct Dims {
+        int w, h;
+    };
+    for (Dims d : {Dims{1, 16}, Dims{16, 1}, Dims{5, 7}, Dims{12, 10},
+                   Dims{32, 32}}) {
+        MeshTopology t(d.w, d.h);
+        const graph::Graph mesh = t.to_graph();
+        Rng rng(0x1d0c + static_cast<std::uint64_t>(t.num_nodes()));
+        for (int keep_pct : {5, 50, 90, 100}) {
+            std::vector<int> ids;
+            for (int id = 0; id < t.num_nodes(); ++id)
+                if (static_cast<int>(rng.next_below(100)) < keep_pct)
+                    ids.push_back(id);
+            EXPECT_EQ(t.induced(ids), mesh.induced(ids))
+                << d.w << "x" << d.h << " keeping " << keep_pct << "%";
+        }
+    }
+    EXPECT_EQ(MeshTopology(4, 4).induced({}).num_nodes(), 0);
 }
 
 TEST(TopologyTest, RejectsOversizedMesh)
