@@ -2,9 +2,9 @@
  * @file
  * Google-benchmark micro-benchmarks of the performance-critical
  * simulator kernels: graph edit distance, connected-subset
- * enumeration, exact grid probes, range-TLB translation, page-TLB
- * translation, buddy allocation, confined-route builds, NoC sends and
- * the event queue.
+ * enumeration (small meshes and fragmented 1024-core free sets), exact
+ * grid probes, range-TLB translation, page-TLB translation, buddy
+ * allocation, confined-route builds, NoC sends and the event queue.
  * These bound the wall-clock cost of the figure harnesses (the
  * hypervisor's mapper evaluates hundreds of candidates per allocation).
  *
@@ -77,6 +77,45 @@ BM_EnumerateConnected(benchmark::State& state)
     }
 }
 BENCHMARK(BM_EnumerateConnected)->Arg(4)->Arg(6)->Arg(8);
+
+/**
+ * The admission funnel's enumeration layer on a seeded, fragmented
+ * 32x32 free set: row-major runs of 8-47 cores (the shape of
+ * straightforward-mapped tenants), three in four of them taken. Mapper
+ * caps: at most 256 subsets, and the callback stops at 64 distinct WL
+ * hashes. range(0) = k. At k = 16 the walk stops after a few hundred
+ * steps. At k = 40 it takes about 636k steps for 168 subsets, like the
+ * few large requests that account for most of similar admission's
+ * enumeration time.
+ */
+static void
+BM_EnumerateFragmented1024(benchmark::State& state)
+{
+    const graph::Graph mesh = graph::Graph::mesh(32, 32);
+    const int k = static_cast<int>(state.range(0));
+    Rng rng(0xF4A6);
+    graph::NodeMask free;
+    for (int id = 0; id < 1024;) {
+        const int run = 8 + static_cast<int>(rng.next_below(40));
+        const bool take = rng.next_below(4) != 0;
+        for (int end = std::min(1024, id + run); id < end; ++id)
+            if (!take)
+                free.set(id);
+    }
+    std::vector<std::uint64_t> hashes;
+    auto cb = [&](const graph::NodeMask& m) {
+        const std::uint64_t h = mesh.wl_hash_subset(m);
+        if (std::find(hashes.begin(), hashes.end(), h) == hashes.end())
+            hashes.push_back(h);
+        return hashes.size() < 64;
+    };
+    for (auto _ : state) {
+        hashes.clear();
+        benchmark::DoNotOptimize(
+            graph::enumerate_connected_subsets(mesh, k, free, cb, 256));
+    }
+}
+BENCHMARK(BM_EnumerateFragmented1024)->Arg(16)->Arg(40);
 
 static void
 BM_RangeTlbHit(benchmark::State& state)

@@ -9,12 +9,10 @@ namespace vnpu::graph {
 namespace {
 
 /**
- * Mask-representation shim for the enumerator. Graphs of at most 64
- * nodes — every pre-CoreSet workload, and the region sizes the golden
- * traces pin — enumerate on plain `uint64_t` words extracted from the
- * CoreSet adjacency; only larger meshes pay for wide masks. Both
- * representations traverse bits in ascending order, so the emitted
- * subset sequence is identical.
+ * Mask-representation shim shared by the subset enumerator and the
+ * induced-isomorphism search: plain `uint64_t` words for sets of at
+ * most 64 nodes, wide `NodeMask`s otherwise. Both representations
+ * traverse bits in ascending order.
  */
 template <typename M>
 struct Ops;
@@ -42,7 +40,6 @@ struct Ops<std::uint64_t> {
     }
     static int count(std::uint64_t m) { return __builtin_popcountll(m); }
     static std::uint64_t narrow(const NodeMask& m) { return m.word(0); }
-    static NodeMask widen(std::uint64_t m) { return NodeMask::from_word(m); }
 };
 
 template <>
@@ -58,20 +55,30 @@ struct Ops<NodeMask> {
     }
     static int count(const NodeMask& m) { return m.count(); }
     static const NodeMask& narrow(const NodeMask& m) { return m; }
-    static const NodeMask& widen(const NodeMask& m) { return m; }
+};
+
+/**
+ * One root's expansion domain: adjacency and allowed set on masks of
+ * type M. On one-word masks, bit i stands for node `ids[i]`, or with no
+ * `ids` for node i.
+ */
+template <typename M>
+struct Domain {
+    const M* adj;
+    M allowed;
+    const int* ids = nullptr;
 };
 
 /**
  * Recursive exclusive-neighborhood expansion. `sub` is the current
- * connected set; `ext` are nodes that may still be added (all > root in
- * id order or discovered through the subgraph), guaranteeing each vertex
- * set is generated exactly once.
+ * connected set; `ext` are nodes that may still be added (all > root
+ * in id order or discovered through the subgraph), guaranteeing each
+ * vertex set is generated exactly once. One Enumerator carries the
+ * progress and stop state across every root of a call, whichever mask
+ * width each root runs on.
  */
-template <typename M>
 struct Enumerator {
-    const std::vector<M>& adj;
     int k;
-    M allowed;
     const std::function<bool(const NodeMask&)>& cb;
     std::uint64_t max_results;
     std::uint64_t step_budget;
@@ -79,8 +86,29 @@ struct Enumerator {
     std::uint64_t steps = 0;
     bool stopped = false;
 
+    bool
+    report(const Domain<NodeMask>&, const NodeMask& sub)
+    {
+        return cb(sub);
+    }
+
+    // Out of line: a small extend() lets the compiler inline a few
+    // levels of its recursion, which the short walks of small k (and
+    // small graphs) depend on.
+    [[gnu::noinline]] bool
+    report(const Domain<std::uint64_t>& d, std::uint64_t sub)
+    {
+        if (d.ids == nullptr)
+            return cb(NodeMask::from_word(sub));
+        NodeMask out;
+        for (; sub != 0; sub &= sub - 1)
+            out.set(d.ids[__builtin_ctzll(sub)]);
+        return cb(out);
+    }
+
+    template <typename M>
     void
-    extend(const M& sub, M ext, M forbidden, int depth)
+    extend(const Domain<M>& d, const M& sub, M ext, M forbidden, int depth)
     {
         if (stopped)
             return;
@@ -93,7 +121,7 @@ struct Enumerator {
         }
         if (depth == k) {
             ++produced;
-            if (!cb(Ops<M>::widen(sub)) || produced >= max_results)
+            if (!report(d, sub) || produced >= max_results)
                 stopped = true;
             return;
         }
@@ -106,25 +134,22 @@ struct Enumerator {
             // the extension set needs no explicit `~wbit`.
             M new_forbidden = forbidden | wbit | ext;
             M new_ext =
-                ext | Ops<M>::andnot(adj[w] & allowed, new_forbidden);
-            extend(sub | wbit, new_ext, new_forbidden, depth + 1);
+                ext | Ops<M>::andnot(d.adj[w] & d.allowed, new_forbidden);
+            extend(d, sub | wbit, new_ext, new_forbidden, depth + 1);
             forbidden |= wbit;
         }
     }
 
-    std::uint64_t
-    run()
+    /** Every subset whose lowest node is `root`; lower nodes are
+     *  excluded so each subset is found from its min node. */
+    template <typename M>
+    void
+    run_root(const Domain<M>& d, int root)
     {
-        M todo = allowed;
-        while (Ops<M>::any(todo) && !stopped) {
-            const int root = Ops<M>::pop_lowest(todo);
-            // Roots are processed in ascending order; processed roots
-            // are excluded so each subset is found from its min node.
-            M forbidden = Ops<M>::first_n(root + 1);
-            M ext = Ops<M>::andnot(adj[root] & allowed, forbidden);
-            extend(Ops<M>::of(root), ext, forbidden, 1);
-        }
-        return produced;
+        const M forbidden = Ops<M>::first_n(root + 1);
+        extend(d, Ops<M>::of(root),
+               Ops<M>::andnot(d.adj[root] & d.allowed, forbidden), forbidden,
+               1);
     }
 };
 
@@ -311,24 +336,71 @@ enumerate_connected_subsets(const Graph& g, int k, const NodeMask& allowed,
                             const std::function<bool(const NodeMask&)>& cb,
                             std::uint64_t max_results)
 {
-    if (k <= 0 || k > g.num_nodes())
-        return 0;
-    std::uint64_t step_budget =
-        max_results == UINT64_MAX
-            ? UINT64_MAX
-            : std::max<std::uint64_t>(1'000'000, max_results * 256);
     const int n = g.num_nodes();
-    if (n <= 64) {
-        std::vector<std::uint64_t> adj(n);
-        for (int v = 0; v < n; ++v)
-            adj[v] = g.neighbors(v).word(0);
-        Enumerator<std::uint64_t> e{adj, k, allowed.word(0),
-                                    cb,  max_results, step_budget};
-        return e.run();
+    if (k <= 0 || k > n)
+        return 0;
+    Enumerator e{k, cb, max_results,
+                 max_results == UINT64_MAX
+                     ? UINT64_MAX
+                     : std::max<std::uint64_t>(1'000'000, max_results * 256)};
+    NodeMask todo = allowed & NodeMask::first_n(n);
+    const Domain<NodeMask> wide{g.adjacency().data(), todo};
+
+    // Every subset rooted at `root` lies within k-1 hops of it inside
+    // todo ∪ {root}, and every ext set the expansion reads below depth
+    // k holds only such nodes. A root whose reach fits in 64 nodes is
+    // renumbered in ascending id order and expanded on one-word masks:
+    // pop-lowest order, emitted sequence and step count are unchanged.
+    int local[NodeMask::kCapacity] = {};
+    int ids[64] = {};
+    std::uint64_t ladj[64] = {};
+    while (todo.any() && !e.stopped) {
+        const int root = todo.pop_lowest();
+        if (root < 64 && todo.next(64) == NodeMask::kCapacity) {
+            // Every remaining allowed node has an id below 64 (in graphs
+            // of at most 64 nodes, such as the default 6x6 chip, from the
+            // first root on): bit i is node i already, so those roots
+            // skip the per-root reach, which would cost more than their
+            // short walks at small k.
+            for (int v = 0; v < std::min(n, 64); ++v)
+                ladj[v] = g.neighbors(v).word(0);
+            const Domain<std::uint64_t> low{
+                ladj, todo.word(0) | Ops<std::uint64_t>::of(root)};
+            for (std::uint64_t r = low.allowed; r != 0 && !e.stopped;)
+                e.run_root(low, Ops<std::uint64_t>::pop_lowest(r));
+            break;
+        }
+        NodeMask reach = NodeMask::of(root);
+        NodeMask frontier = reach;
+        int size = 1;
+        for (int hop = 1; hop < k && size <= 64 && frontier.any(); ++hop) {
+            NodeMask next;
+            for (int v : frontier)
+                next |= g.neighbors(v);
+            frontier = (next & todo).andnot(reach);
+            reach |= frontier;
+            size = reach.count();
+        }
+        if (size > 64) {
+            e.run_root(wide, root);
+            continue;
+        }
+        int m = 0;
+        for (int v : reach) {
+            local[v] = m;
+            ids[m++] = v;
+        }
+        for (int i = 0; i < m; ++i) {
+            std::uint64_t a = 0;
+            for (int u : g.neighbors(ids[i]) & reach)
+                a |= std::uint64_t{1} << local[u];
+            ladj[i] = a;
+        }
+        e.run_root(Domain<std::uint64_t>{ladj, Ops<std::uint64_t>::first_n(m),
+                                         ids},
+                   0);
     }
-    Enumerator<NodeMask> e{g.adjacency(), k,           allowed,
-                           cb,            max_results, step_budget};
-    return e.run();
+    return e.produced;
 }
 
 std::uint64_t
@@ -344,10 +416,11 @@ sample_connected_subsets(const Graph& g, int k, const NodeMask& allowed,
                          int samples, Rng& rng)
 {
     std::vector<NodeMask> out;
-    if (k <= 0 || allowed.count() < k)
+    const NodeMask in_graph = allowed & NodeMask::first_n(g.num_nodes());
+    if (k <= 0 || in_graph.count() < k)
         return out;
 
-    std::vector<int> seeds = Graph::mask_to_nodes(allowed);
+    std::vector<int> seeds = Graph::mask_to_nodes(in_graph);
     // Word-windowed growth state. The legacy loop filtered the frontier
     // each step (`frontier = (frontier & allowed).andnot(sub)`) before
     // carrying it forward; carrying the unfiltered union F and masking
@@ -358,7 +431,7 @@ sample_connected_subsets(const Graph& g, int k, const NodeMask& allowed,
     std::uint64_t fr[NodeMask::kWords], sb[NodeMask::kWords];
     std::uint64_t aw[NodeMask::kWords];
     for (int wi = 0; wi < NodeMask::kWords; ++wi)
-        aw[wi] = allowed.word(wi);
+        aw[wi] = in_graph.word(wi);
     for (int s = 0; s < samples; ++s) {
         int seed = seeds[s % seeds.size()];
         std::fill(fr, fr + NodeMask::kWords, 0);

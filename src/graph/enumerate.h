@@ -24,9 +24,24 @@ namespace vnpu::graph {
 /**
  * Enumerate every connected vertex subset of size `k` contained in
  * `allowed`, invoking `cb` for each. Each subset is reported exactly
- * once (Wernicke-style exclusive-neighborhood expansion). Enumeration
- * stops early when `cb` returns false or `max_results` subsets have
- * been produced.
+ * once (Wernicke-style exclusive-neighborhood expansion). Bits of
+ * `allowed` at or beyond `g.num_nodes()` are ignored.
+ *
+ * Emission order: roots (a subset's lowest node) ascend; under each
+ * root the expansion is a depth-first walk that always adds the lowest
+ * pending extension node first. The order is deterministic and callers
+ * (the topology mapper's candidate list and its pinned decisions)
+ * depend on it.
+ *
+ * Enumeration stops at the first of:
+ *  - `cb` returning false;
+ *  - `max_results` subsets produced;
+ *  - the step budget: when `max_results` is finite, the walk visits at
+ *    most max(1'000'000, 256 * max_results) search-tree nodes (one
+ *    step = one partial subset, of any size, entered), since for k near
+ *    |allowed| a handful of results can hide an exponential tree of
+ *    smaller connected subsets. Unbounded `max_results` means no step
+ *    budget.
  *
  * @return the number of subsets reported.
  */
@@ -44,6 +59,7 @@ std::uint64_t count_connected_subsets(const Graph& g, int k,
  * Deterministically sample up to `samples` connected size-`k` subsets of
  * `allowed` by randomized BFS growth from every possible seed node.
  * Duplicates are removed; the result is sorted for reproducibility.
+ * Bits of `allowed` at or beyond `g.num_nodes()` are ignored.
  */
 std::vector<NodeMask> sample_connected_subsets(const Graph& g, int k,
                                                const NodeMask& allowed,
@@ -104,8 +120,8 @@ struct IsoResult {
  * handled by re-anchoring per component. Deterministic: hosts are tried
  * in ascending id order, so the lowest-anchored embedding wins.
  *
- * Graphs of <= 64 host nodes run on plain u64 masks (the same fast path
- * the subset enumerator uses); larger hosts use wide `NodeMask`s.
+ * Graphs of <= 64 host nodes run on plain u64 masks; larger hosts use
+ * wide `NodeMask`s.
  */
 IsoResult find_induced_isomorphism(const Graph& pattern, const Graph& host,
                                    const NodeMask& allowed,

@@ -143,6 +143,188 @@ TEST(EnumerateTest, DegenerateCases)
     EXPECT_EQ(count_connected_subsets(g, 4, full_mask(4)), 1u);
 }
 
+TEST(EnumerateTest, AllowedBitsBeyondGraphAreIgnored)
+{
+    // A 4x4 mesh with allowed bits set far past its 16 nodes: those ids
+    // have no adjacency and must be neither roots nor seeds.
+    Graph g = Graph::mesh(4, 4);
+    NodeMask allowed = full_mask(16) | NodeMask::of(16) |
+                       NodeMask::of(200) | NodeMask::of(1023);
+    for (int k = 1; k <= 5; ++k) {
+        std::set<NodeMask> got;
+        enumerate_connected_subsets(g, k, allowed, [&](const NodeMask& m) {
+            got.insert(m);
+            return true;
+        });
+        EXPECT_EQ(got, brute_force(g, k, full_mask(16))) << "k=" << k;
+    }
+    Rng r1(3), r2(3);
+    EXPECT_EQ(sample_connected_subsets(g, 5, allowed, 64, r1),
+              sample_connected_subsets(g, 5, full_mask(16), 64, r2));
+    // Out-of-graph bits alone do not make up a k-subset.
+    Rng r3(3);
+    EXPECT_TRUE(sample_connected_subsets(g, 3, NodeMask::of(16) |
+                                                   NodeMask::of(17) |
+                                                   NodeMask::of(18),
+                                         8, r3)
+                    .empty());
+}
+
+/**
+ * Reference enumerator: the exclusive-neighborhood expansion written
+ * once over full-width masks for the whole graph, with the same step
+ * budget. Records every emitted subset in order.
+ */
+struct ReferenceEnumeration {
+    const Graph& g;
+    int k;
+    NodeMask allowed;
+    std::uint64_t max_results;
+    std::uint64_t stop_after; ///< the callback returns false here
+    std::uint64_t budget = 0;
+    std::vector<NodeMask> emitted = {};
+    std::uint64_t steps = 0;
+    bool budget_hit = false;
+    bool stopped = false;
+
+    void
+    expand(const NodeMask& sub, NodeMask ext, NodeMask forbidden, int size)
+    {
+        if (stopped)
+            return;
+        if (++steps > budget) {
+            budget_hit = stopped = true;
+            return;
+        }
+        if (size == k) {
+            emitted.push_back(sub);
+            if (emitted.size() >= stop_after ||
+                emitted.size() >= max_results)
+                stopped = true;
+            return;
+        }
+        while (ext.any() && !stopped) {
+            const int w = ext.pop_lowest();
+            NodeMask f = forbidden | ext | NodeMask::of(w);
+            NodeMask e = ext | (g.neighbors(w) & allowed).andnot(f);
+            expand(sub | NodeMask::of(w), e, f, size + 1);
+            forbidden.set(w);
+        }
+    }
+
+    std::uint64_t
+    run()
+    {
+        budget = max_results == UINT64_MAX
+                     ? UINT64_MAX
+                     : std::max<std::uint64_t>(1'000'000, 256 * max_results);
+        for (int root : allowed) {
+            if (stopped)
+                break;
+            NodeMask forbidden = NodeMask::first_n(root + 1);
+            expand(NodeMask::of(root),
+                   (g.neighbors(root) & allowed).andnot(forbidden),
+                   forbidden, 1);
+        }
+        return emitted.size();
+    }
+};
+
+/** Runs both enumerators and compares sequence and count; returns the
+ *  reference for further checks. */
+ReferenceEnumeration
+expect_matches_reference(const Graph& g, int k, const NodeMask& allowed,
+                         std::uint64_t max_results,
+                         std::uint64_t stop_after = UINT64_MAX)
+{
+    ReferenceEnumeration ref{g, k, allowed, max_results, stop_after};
+    const std::uint64_t want = ref.run();
+    std::vector<NodeMask> got;
+    const std::uint64_t produced = enumerate_connected_subsets(
+        g, k, allowed,
+        [&](const NodeMask& m) {
+            got.push_back(m);
+            return got.size() < stop_after;
+        },
+        max_results);
+    EXPECT_EQ(produced, want) << "k=" << k;
+    EXPECT_TRUE(got == ref.emitted) << "k=" << k << ": sequences differ";
+    return ref;
+}
+
+/** Largest set of nodes within k-1 hops of some root, inside the
+ *  allowed nodes at or above it. */
+int
+max_root_reach(const Graph& g, int k, const NodeMask& allowed)
+{
+    int best = 0;
+    for (int root : allowed) {
+        NodeMask above = allowed.andnot(NodeMask::first_n(root));
+        NodeMask reach = NodeMask::of(root);
+        for (int hop = 1; hop < k; ++hop) {
+            NodeMask next = reach;
+            for (int v : reach)
+                next |= g.neighbors(v) & above;
+            reach = next;
+        }
+        best = std::max(best, reach.count());
+    }
+    return best;
+}
+
+TEST(EnumerateTest, RootLocalMatchesWideReference)
+{
+    const Graph g = Graph::mesh(32, 32);
+    const NodeMask all = full_mask(1024);
+
+    // Seeded fragmented free sets, one per k: ~60% of cores taken.
+    for (int k = 2; k <= 47; ++k) {
+        Rng rng(0xE17 + static_cast<std::uint64_t>(k));
+        NodeMask free;
+        for (int id = 0; id < 1024; ++id)
+            if (rng.next_below(100) < 40)
+                free.set(id);
+        expect_matches_reference(g, k, free, 256);
+    }
+
+    // Free cores only in the first 64 ids: those roots run on word 0
+    // directly, as in graphs of at most 64 nodes.
+    expect_matches_reference(g, 6, full_mask(64), 5000);
+
+    // A free 10x10 block: roots near its corner reach more than 64
+    // cores within 11 hops, so the wide path runs.
+    NodeMask block;
+    for (int y = 4; y < 14; ++y)
+        for (int x = 7; x < 17; ++x)
+            block.set(y * 32 + x);
+    ASSERT_GT(max_root_reach(g, 12, block), 64);
+    expect_matches_reference(g, 12, block, 4096);
+    // At k=40 the first subsets fill whole rows, reaching cores more
+    // than 10 hops from the corner root.
+    expect_matches_reference(g, 40, block, 256);
+    // The max_results cut, and a callback that stops the walk.
+    EXPECT_EQ(expect_matches_reference(g, 12, block, 300).emitted.size(),
+              300u);
+    EXPECT_EQ(expect_matches_reference(g, 6, all, UINT64_MAX, 777)
+                  .emitted.size(),
+              777u);
+
+    // The step budget ends the walk: the 6x6 block's 36 cores cannot
+    // hold k=40, but its roots walk its whole tree of smaller connected
+    // subsets before the 7x7 block is reached.
+    NodeMask two_blocks;
+    for (int y = 0; y < 6; ++y)
+        for (int x = 0; x < 6; ++x)
+            two_blocks.set(y * 32 + x);
+    for (int y = 10; y < 17; ++y)
+        for (int x = 10; x < 17; ++x)
+            two_blocks.set(y * 32 + x);
+    const ReferenceEnumeration budgeted =
+        expect_matches_reference(g, 40, two_blocks, 256);
+    EXPECT_TRUE(budgeted.budget_hit);
+    EXPECT_TRUE(budgeted.emitted.empty());
+}
+
 TEST(SampleTest, SamplesAreConnectedAndCorrectSize)
 {
     Graph g = Graph::mesh(5, 5);
