@@ -43,7 +43,7 @@ struct SweepResult {
     Cycles setup_cycles = 0;
     /** Wall-clock admission latency (create/destroy calls), in
      *  microseconds per admitted request — the one machine-dependent
-     *  column, gated in CI by tools/check_alloc_latency.py. */
+     *  column, gated in CI by tools/bench_trajectory.py gate. */
     double us_per_admit = 0.0;
     // Funnel stage counters (vNPU policies only; zero for MIG).
     std::uint64_t fn_candidates = 0;

@@ -62,14 +62,23 @@ FleetSimulator::FleetSimulator(const FleetConfig& cfg)
         total_cores_ += devices_.back()->num_cores();
     }
     residents_.resize(devices_.size());
-    // A class fits iff the mapper admits it on an empty device.
+    // Every class's requests are built here, once; a class fits iff the
+    // mapper admits it exactly on an empty device.
+    const auto request = [this](const TenantClass& c,
+                                hyp::MappingStrategy s) {
+        hyp::VnpuSpec spec;
+        spec.topo = graph::Graph::mesh(c.width, c.height);
+        spec.strategy = s;
+        spec.noc_isolation = s != hyp::MappingStrategy::kStraightforward;
+        spec.max_candidates = cfg_.similar_max_candidates;
+        spec.exact_search_budget = cfg_.exact_search_budget;
+        return hyp::request_for(spec);
+    };
     for (const TenantClass& c : arrivals_.mix()) {
         class_req_.push_back(
-            {hyp::request_for(vnpu_spec(c.width, c.height,
-                                        hyp::MappingStrategy::kExact)),
-             hyp::request_for(
-                 vnpu_spec(c.width, c.height,
-                           hyp::MappingStrategy::kStraightforward))});
+            {request(c, hyp::MappingStrategy::kExact),
+             request(c, hyp::MappingStrategy::kSimilarTopology),
+             request(c, hyp::MappingStrategy::kStraightforward)});
         const hyp::MappingResult m =
             devices_.front()->hypervisor().try_map(class_req_.back().exact);
         if (!m.ok)
@@ -126,20 +135,6 @@ FleetSimulator::note_used_delta(int delta_cores)
 }
 
 // ---- Request plumbing ----------------------------------------------------
-
-hyp::VnpuSpec
-FleetSimulator::vnpu_spec(int width, int height,
-                          hyp::MappingStrategy s) const
-{
-    hyp::VnpuSpec spec;
-    spec.topo = graph::Graph::mesh(width, height);
-    spec.strategy = s;
-    spec.noc_isolation = s == hyp::MappingStrategy::kExact ||
-                         s == hyp::MappingStrategy::kSimilarTopology;
-    spec.max_candidates = cfg_.similar_max_candidates;
-    spec.exact_search_budget = cfg_.exact_search_budget;
-    return spec;
-}
 
 bool
 FleetSimulator::smaller_first(const Tenant* a, const Tenant* b)
@@ -332,31 +327,27 @@ FleetSimulator::drain_queue(Tick t)
         if (head.req.id == blocked_head_ && !capacity_dirty_)
             return;
 
-        Placement p = place(head.req);
-        if (p.ok) {
+        const Placement p = place(head.req);
+        if (p.m.ok) {
             blocked_head_ = kNoHead;
             const Queued q = head;
             pending_.pop_front();
             FleetDevice& dev =
                 *devices_[static_cast<std::size_t>(p.device)];
-            virt::VirtualNpu& vm = dev.hypervisor().create(
-                vnpu_spec(q.req.width, q.req.height, p.strategy));
+            virt::VirtualNpu& vm = dev.hypervisor().admit(*p.req, p.m);
             admit(t, q, p, vm, 0, 0);
             continue;
         }
         if (cfg_.defrag) {
             ++stats_.defrag_attempts;
-            DefragPlan plan = plan_defrag(head.req);
-            if (plan.ok) {
+            const DefragPlan plan = plan_defrag(head.req);
+            if (plan.head.m.ok) {
                 ++stats_.defrag_success;
                 blocked_head_ = kNoHead;
                 const Queued q = head;
                 pending_.pop_front();
-                DefragExec ex = execute_defrag(t, plan, q.req);
-                admit(t, q,
-                      Placement{true, plan.device,
-                                hyp::MappingStrategy::kExact},
-                      *ex.head_vm, ex.wait,
+                DefragExec ex = execute_defrag(t, plan);
+                admit(t, q, plan.head, *ex.head_vm, ex.wait,
                       static_cast<std::uint32_t>(plan.moves.size()));
                 continue;
             }
@@ -372,78 +363,43 @@ FleetSimulator::drain_queue(Tick t)
 FleetSimulator::Placement
 FleetSimulator::place(const FleetRequest& r) const
 {
-    Placement p = pick_exact(r);
-    if (!p.ok && r.cores() <= cfg_.similar_fallback_max_cores)
-        p = pick_similar(r);
+    const ClassRequests& cr = requests_of(r.tenant_class);
+    Placement p = pick(cr.exact);
+    if (!p.m.ok && r.cores() <= cfg_.similar_fallback_max_cores)
+        p = pick(cr.similar);
     return p;
 }
 
 FleetSimulator::Placement
-FleetSimulator::pick_exact(const FleetRequest& r) const
+FleetSimulator::pick(const hyp::MappingRequest& req) const
 {
-    VNPU_PROF("fleet.pick_exact");
-    const hyp::MappingRequest& req = requests_of(r.tenant_class).exact;
-    int best = -1;
+    VNPU_PROF("fleet.pick");
+    Placement best{-1, &req, {}};
     int best_free = 0;
     for (const auto& devp : devices_) {
         const FleetDevice& dev = *devp;
         const int free = dev.free_cores();
-        if (!dev.hypervisor().try_map(req).ok)
-            continue;
-        if (cfg_.policy == PlacementPolicy::kFirstFit)
-            return Placement{true, dev.id(),
-                             hyp::MappingStrategy::kExact};
-        // Exact placements all have TED 0, so best-fit-by-TED ties
-        // break to the tightest fit; load-balanced wants the loosest.
-        const bool better =
-            best < 0 ||
-            (cfg_.policy == PlacementPolicy::kBestFitTed
-                 ? free < best_free
-                 : free > best_free);
-        if (better) {
-            best = dev.id();
-            best_free = free;
-        }
-    }
-    if (best < 0)
-        return Placement{};
-    return Placement{true, best, hyp::MappingStrategy::kExact};
-}
-
-FleetSimulator::Placement
-FleetSimulator::pick_similar(const FleetRequest& r) const
-{
-    const hyp::MappingRequest req = hyp::request_for(vnpu_spec(
-        r.width, r.height, hyp::MappingStrategy::kSimilarTopology));
-    int best = -1;
-    int best_free = 0;
-    double best_ted = 0.0;
-    for (const auto& devp : devices_) {
-        const FleetDevice& dev = *devp;
-        const int free = dev.free_cores();
-        const hyp::MappingResult m = dev.hypervisor().try_map(req);
+        hyp::MappingResult m = dev.hypervisor().try_map(req);
         if (!m.ok)
             continue;
         if (cfg_.policy == PlacementPolicy::kFirstFit)
-            return Placement{true, dev.id(),
-                             hyp::MappingStrategy::kSimilarTopology};
-        bool better = best < 0;
+            return Placement{dev.id(), &req, std::move(m)};
+        // Best fit minimizes TED, ties to the tightest fit (every exact
+        // TED is 0); load-balanced wants the loosest fit.
+        bool better = best.device < 0;
         if (!better) {
             if (cfg_.policy == PlacementPolicy::kBestFitTed)
-                better = m.ted < best_ted ||
-                         (m.ted == best_ted && free < best_free);
+                better = m.ted < best.m.ted ||
+                         (m.ted == best.m.ted && free < best_free);
             else
                 better = free > best_free;
         }
         if (better) {
-            best = dev.id();
+            best = Placement{dev.id(), &req, std::move(m)};
             best_free = free;
-            best_ted = m.ted;
         }
     }
-    if (best < 0)
-        return Placement{};
-    return Placement{true, best, hyp::MappingStrategy::kSimilarTopology};
+    return best;
 }
 
 // ---- Admission / rejection ----------------------------------------------
@@ -484,7 +440,7 @@ FleetSimulator::admit(Tick t, const Queued& q, const Placement& p,
                                  expiry = ten.expiry] {
         depart(id, expiry);
     });
-    capacity_dirty_ = true; // the create reshaped a free set
+    capacity_dirty_ = true; // the admission reshaped a free set
 
     if (q.requeued)
         return; // preempted tenant going around again: already decided
@@ -502,7 +458,7 @@ FleetSimulator::admit(Tick t, const Queued& q, const Placement& p,
     record_decision(d);
 
     ++stats_.admitted;
-    if (p.strategy == hyp::MappingStrategy::kExact)
+    if (p.req->strategy == hyp::MappingStrategy::kExact)
         ++stats_.admitted_exact;
     else
         ++stats_.admitted_similar;
@@ -562,6 +518,8 @@ FleetSimulator::plan_defrag(const FleetRequest& r) const
     std::vector<CoreSet> other_avail(devices_.size());
     for (int d : order) {
         const FleetDevice& dev = *devices_[static_cast<std::size_t>(d)];
+        // Every device has the same mesh, so one mapper answers for all.
+        const hyp::TopologyMapper& mapper = dev.hypervisor().mapper();
         CoreSet acc = dev.hypervisor().free_cores();
         std::vector<const Tenant*> victims;
         // Candidate victims on this device, smallest (cheapest) first.
@@ -571,8 +529,7 @@ FleetSimulator::plan_defrag(const FleetRequest& r) const
                 break;
             acc |= dev.hypervisor().find(v->vm)->mask();
             victims.push_back(v);
-            const hyp::MappingResult m =
-                dev.hypervisor().mapper().map(ereq, acc);
+            hyp::MappingResult m = mapper.map(ereq, acc);
             if (!m.ok)
                 continue;
 
@@ -594,8 +551,8 @@ FleetSimulator::plan_defrag(const FleetRequest& r) const
             // Verify a landing spot for every mover (largest first, so
             // big blocks grab contiguous space before crumbs do).
             // Hypothetical free sets track multi-mover consumption on
-            // every device; execution replays the moves in plan order
-            // against exactly these sets.
+            // every device; execution admits the planned mappings in
+            // plan order against exactly these sets.
             std::sort(moving.begin(), moving.end(),
                       [](const Tenant* a, const Tenant* b) {
                           const int ca = a->width * a->height;
@@ -607,84 +564,57 @@ FleetSimulator::plan_defrag(const FleetRequest& r) const
             for (std::size_t o = 0; o < devices_.size(); ++o)
                 other_avail[o] = devices_[o]->hypervisor().free_cores();
 
-            DefragPlan plan;
-            plan.device = d;
-            bool feasible = true;
+            DefragPlan plan{Placement{d, &ereq, std::move(m)}, {}};
             for (const Tenant* w : moving) {
-                VictimMove mv;
-                mv.request_id = w->request_id;
                 const ClassRequests& wreq = requests_of(w->tenant_class);
-                // Same device, in the space left after the head lands.
-                const hyp::MappingResult wm =
-                    dev.hypervisor().mapper().map(wreq.exact, avail);
-                if (wm.ok) {
-                    mv.to_device = d;
-                    mv.strategy = hyp::MappingStrategy::kExact;
-                    avail = avail.andnot(
-                        CoreSet::from_range(wm.assignment));
-                    plan.moves.push_back(mv);
-                    continue;
-                }
-                // Other devices, exact, first-fit.
-                bool placed = false;
-                for (int oid = 0; oid < num_devices(); ++oid) {
+                // Same device, in the space left after the head lands;
+                // then other devices, exact, first-fit; last resort:
+                // straightforward on the home device — the k lowest
+                // free cores, no contiguity and no NoC isolation, but
+                // also no search cost.
+                VictimMove mv{w->request_id,
+                              {d, &wreq.exact, mapper.map(wreq.exact, avail)}};
+                CoreSet* lands_in = &avail;
+                for (int oid = 0; !mv.to.m.ok && oid < num_devices();
+                     ++oid) {
                     if (oid == d)
                         continue;
-                    CoreSet& ofree =
-                        other_avail[static_cast<std::size_t>(oid)];
-                    const hyp::MappingResult om =
-                        dev.hypervisor().mapper().map(wreq.exact, ofree);
-                    if (!om.ok)
-                        continue;
-                    mv.to_device = oid;
-                    mv.strategy = hyp::MappingStrategy::kExact;
-                    ofree =
-                        ofree.andnot(CoreSet::from_range(om.assignment));
-                    placed = true;
+                    lands_in = &other_avail[static_cast<std::size_t>(oid)];
+                    mv.to = {oid, &wreq.exact,
+                             mapper.map(wreq.exact, *lands_in)};
+                }
+                if (!mv.to.m.ok) {
+                    lands_in = &avail;
+                    mv.to = {d, &wreq.straightforward,
+                             mapper.map(wreq.straightforward, avail)};
+                }
+                if (!mv.to.m.ok)
                     break;
-                }
-                // Last resort: straightforward on the home device —
-                // the k lowest free cores, no contiguity and no NoC
-                // isolation, but also no search cost.
-                if (!placed) {
-                    const hyp::MappingResult fm =
-                        dev.hypervisor().mapper().map(wreq.straightforward,
-                                                      avail);
-                    if (fm.ok) {
-                        mv.to_device = d;
-                        mv.strategy =
-                            hyp::MappingStrategy::kStraightforward;
-                        avail = avail.andnot(
-                            CoreSet::from_range(fm.assignment));
-                        placed = true;
-                    }
-                }
-                if (!placed) {
-                    feasible = false;
-                    break;
-                }
-                plan.moves.push_back(mv);
+                *lands_in =
+                    lands_in->andnot(CoreSet::from_range(mv.to.m.assignment));
+                plan.moves.push_back(std::move(mv));
             }
-            if (!feasible)
-                continue; // accumulate more victims / next device
-            plan.ok = true;
-            return plan;
+            if (plan.moves.size() == moving.size())
+                return plan; // every mover lands
+            // else accumulate more victims / next device
         }
     }
     return DefragPlan{};
 }
 
 FleetSimulator::DefragExec
-FleetSimulator::execute_defrag(Tick t, const DefragPlan& plan,
-                               const FleetRequest& r)
+FleetSimulator::execute_defrag(Tick t, const DefragPlan& plan)
 {
-    FleetDevice& home = *devices_[static_cast<std::size_t>(plan.device)];
+    FleetDevice& home =
+        *devices_[static_cast<std::size_t>(plan.head.device)];
     DefragExec ex;
 
-    // Destroy every mover first so the head request sees the exact
-    // free set its mapping was verified against; then land the head;
-    // then re-place the movers in plan order (the plan's hypothetical
-    // free sets replay exactly).
+    // Destroy every mover first so the head's mapping lands on free
+    // cores; then admit the head; then admit the movers in plan order
+    // (the plan's hypothetical free sets replay exactly). The head was
+    // mapped on a superset of this free set that holds its region, and
+    // the exact slide's lowest fitting anchor there is also the lowest
+    // here: a fresh map would pick the same region.
     std::vector<Tenant> moved;
     moved.reserve(plan.moves.size());
     for (const VictimMove& mv : plan.moves) {
@@ -697,18 +627,17 @@ FleetSimulator::execute_defrag(Tick t, const DefragPlan& plan,
         erase_live(it);
     }
 
-    ex.head_vm = &home.hypervisor().create(
-        vnpu_spec(r.width, r.height, hyp::MappingStrategy::kExact));
+    ex.head_vm = &home.hypervisor().admit(*plan.head.req, plan.head.m);
 
     for (std::size_t i = 0; i < plan.moves.size(); ++i) {
         const VictimMove& mv = plan.moves[i];
         Tenant ten = moved[i];
         FleetDevice& target =
-            *devices_[static_cast<std::size_t>(mv.to_device)];
+            *devices_[static_cast<std::size_t>(mv.to.device)];
         const int cores = ten.width * ten.height;
         try {
-            const virt::VirtualNpu& nv = target.hypervisor().create(
-                vnpu_spec(ten.width, ten.height, mv.strategy));
+            const virt::VirtualNpu& nv =
+                target.hypervisor().admit(*mv.to.req, mv.to.m);
             const Tick cost = migration_cost(cores);
             ex.wait = std::max(ex.wait, cost);
             ++stats_.migrations;
@@ -717,10 +646,10 @@ FleetSimulator::execute_defrag(Tick t, const DefragPlan& plan,
             VNPU_TRACE(emit_complete(
                 "fleet.migrate", "fleet", t, cost, obs::kTrackFleet,
                 {obs::arg("req", ten.request_id),
-                 obs::arg("from", plan.device),
-                 obs::arg("to", mv.to_device), obs::arg("cores", cores),
-                 obs::arg("strategy", to_string(mv.strategy))}));
-            ten.device = mv.to_device;
+                 obs::arg("from", plan.head.device),
+                 obs::arg("to", mv.to.device), obs::arg("cores", cores),
+                 obs::arg("strategy", to_string(mv.to.req->strategy))}));
+            ten.device = mv.to.device;
             ten.vm = nv.vm();
             note_used_delta(cores);
             add_live(ten);

@@ -19,12 +19,15 @@
  * the pass clears the queue, so the leftover patience wakes of
  * requests decided early cannot move the makespan.
  *
- * Every "can this free set host that request?" question,
- * real or hypothetical, is a `TopologyMapper::map` call on the
- * request `hyp::request_for` derives from the tenant's VnpuSpec: the
- * mapper proves exact grid misses and connected-size misses cheaply,
- * so the scheduler keeps no feasibility logic of its own. Each tenant
- * class's requests are built once, at construction.
+ * Each tenant class's requests (exact, similar, straightforward) are
+ * built once, at construction. Every "can this free set host that
+ * request?" question, real or hypothetical, is a `TopologyMapper::map`
+ * call on one of them: the mapper proves exact grid misses and
+ * connected-size misses cheaply, so the scheduler keeps no
+ * feasibility logic of its own. Each placement decision is made once:
+ * the mapping a placement scan or defrag plan verified is the one the
+ * device's hypervisor admits (`Hypervisor::admit`), without mapping
+ * again.
  *
  * Determinism contract: the decision sequence is a pure function of
  * (FleetConfig, seed). All randomness flows through named Rng
@@ -221,24 +224,24 @@ class FleetSimulator {
         Tick expiry = 0;
     };
 
-    /** Outcome of a placement scan (no fleet state mutated). */
+    /** Outcome of a placement scan (no fleet state mutated): the
+     *  device, the request and the mapping verified on its live free
+     *  set, which the device's hypervisor then admits as is. */
     struct Placement {
-        bool ok = false;
         int device = -1;
-        hyp::MappingStrategy strategy = hyp::MappingStrategy::kExact;
+        const hyp::MappingRequest* req = nullptr;
+        hyp::MappingResult m; ///< `m.ok` false: no device fits.
     };
 
     /** One planned victim move of a defrag pass. */
     struct VictimMove {
         std::uint64_t request_id = 0;
-        int to_device = -1;
-        hyp::MappingStrategy strategy = hyp::MappingStrategy::kExact;
+        Placement to;
     };
 
-    /** A fully verified defrag plan for the queue head. */
+    /** A defrag plan for the queue head; `head.m.ok` when verified. */
     struct DefragPlan {
-        bool ok = false;
-        int device = -1; ///< Where the head request will land.
+        Placement head; ///< Where the head request will land.
         std::vector<VictimMove> moves;
     };
 
@@ -248,11 +251,10 @@ class FleetSimulator {
         Tick wait = 0; ///< Slowest migration's state-copy cost.
     };
 
-    hyp::VnpuSpec vnpu_spec(int width, int height,
-                            hyp::MappingStrategy s) const;
     /** A tenant class's mapping requests, built once. */
     struct ClassRequests {
         hyp::MappingRequest exact;
+        hyp::MappingRequest similar; ///< Small-request fallback.
         hyp::MappingRequest straightforward; ///< Defrag last resort.
     };
     const ClassRequests& requests_of(int tenant_class) const;
@@ -289,12 +291,12 @@ class FleetSimulator {
     void drain_queue(Tick t);
 
     /** Dry-run scan: can any device host `r` right now, and which one
-     *  does the policy pick? */
+     *  does the policy pick? Exact first, then the similar fallback. */
     Placement place(const FleetRequest& r) const;
-    Placement pick_exact(const FleetRequest& r) const;
-    Placement pick_similar(const FleetRequest& r) const;
+    /** One scan of every device for `req`, best by the policy. */
+    Placement pick(const hyp::MappingRequest& req) const;
 
-    /** Book an admission: `vm` was just created on `p.device` (by the
+    /** Book an admission: `vm` was just admitted on `p.device` (by the
      *  plain path or mid-defrag); records the decision and schedules
      *  the departure. */
     void admit(Tick t, const Queued& q, const Placement& p,
@@ -303,10 +305,9 @@ class FleetSimulator {
     void reject(Tick t, const Queued& q);
 
     DefragPlan plan_defrag(const FleetRequest& r) const;
-    /** Execute a verified plan: destroy the movers, create the head
-     *  request's VM in the hole, re-place the movers. */
-    DefragExec execute_defrag(Tick t, const DefragPlan& plan,
-                              const FleetRequest& r);
+    /** Execute a verified plan: destroy the movers, admit the head
+     *  request's mapping in the hole, admit the movers' mappings. */
+    DefragExec execute_defrag(Tick t, const DefragPlan& plan);
 
     Tick migration_cost(int cores) const;
     void record_decision(const FleetDecision& d);

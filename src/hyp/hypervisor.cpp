@@ -204,24 +204,60 @@ virt::VirtualNpu&
 Hypervisor::create(const VnpuSpec& spec)
 {
     VNPU_PROF("hyp.create");
+    const MappingRequest req = request_for(spec);
+    return commit(req, mapper_.map(req, free_), spec.memory_bytes,
+                  spec.bw_cap);
+}
+
+virt::VirtualNpu&
+Hypervisor::admit(const MappingRequest& req, const MappingResult& m,
+                  std::uint64_t memory_bytes, double bw_cap)
+{
+    VNPU_PROF("hyp.create");
+    return commit(req, m, memory_bytes, bw_cap);
+}
+
+virt::VirtualNpu&
+Hypervisor::commit(const MappingRequest& req, const MappingResult& m,
+                   std::uint64_t memory_bytes, double bw_cap)
+{
     const Tick t0 = obs::sim_now();
+    const int k = req.vtopo.num_nodes();
 
-    // 1. Resolve the requested virtual topology.
-    const MappingRequest mreq = request_for(spec);
-    const graph::Graph& vtopo = mreq.vtopo;
-
-    // 2. Allocate physical cores via the chosen strategy.
-    MappingResult m = mapper_.map(mreq, free_);
+    // 1-2. The mapping: its search effort counts whether or not it is
+    //      admitted; a failed or off-free-set mapping allocates nothing.
     stats_.mapper_search_steps += m.search_steps;
     if (m.budget_exhausted)
         ++stats_.mapper_budget_exhausted;
     stats_.funnel += m.funnel;
-    if (!m.ok) {
-        ++stats_.allocation_failures;
-        trace_admission(t0, mreq, m, kNoVm, 0, m.error.c_str());
-        fatal("vNPU allocation failed (", to_string(spec.strategy),
-              ", ", vtopo.num_nodes(), " cores): ", m.error);
+    bool fits = static_cast<int>(m.assignment.size()) == k;
+    CoreSet region;
+    for (std::size_t v = 0; fits && v < m.assignment.size(); ++v) {
+        const CoreId c = m.assignment[v];
+        fits = c >= 0 && c < topo_.num_nodes() && free_.test(c) &&
+               !region.test(c);
+        if (fits)
+            region.set(c);
     }
+    const char* error = !m.ok ? m.error.c_str()
+                        : fits ? nullptr
+                               : "mapping is not k distinct free cores";
+    if (error != nullptr) {
+        ++stats_.allocation_failures;
+        trace_admission(t0, req, m, kNoVm, 0, error);
+        fatal("vNPU allocation failed (", to_string(req.strategy), ", ", k,
+              " cores): ", error);
+    }
+    // The caller's decision is the one the mapper makes on the live
+    // free set now: a stale plan cannot slip a different region in.
+    VNPU_SANITIZE_BLOCK({
+        const MappingResult fresh = mapper_.map(req, free_);
+        VNPU_INVARIANT(fresh.ok && fresh.assignment == m.assignment &&
+                           fresh.ted == m.ted,
+                       "admitted mapping differs from a fresh map on the "
+                       "live free set (",
+                       to_string(req.strategy), ", ", k, " cores)");
+    })
 
     VmId vm = next_vm_++;
 
@@ -229,19 +265,18 @@ Hypervisor::create(const VnpuSpec& spec)
     // HBM exhaustion, meta-zone overflow) must reach the trace too, so
     // the whole provisioning path is wrapped.
     try {
-        virt::VirtualNpu& ref = create_provision(spec, vtopo, m, vm);
-        trace_admission(t0, mreq, m, vm, last_setup_cost_, nullptr);
+        virt::VirtualNpu& ref = provision(req, m, vm, memory_bytes, bw_cap);
+        trace_admission(t0, req, m, vm, last_setup_cost_, nullptr);
         return ref;
     } catch (const std::exception& e) {
-        trace_admission(t0, mreq, m, vm, 0, e.what());
+        trace_admission(t0, req, m, vm, 0, e.what());
         throw;
     }
 }
 
 virt::VirtualNpu&
-Hypervisor::create_provision(const VnpuSpec& spec,
-                             const graph::Graph& vtopo,
-                             const MappingResult& m, VmId vm)
+Hypervisor::provision(const MappingRequest& req, const MappingResult& m,
+                      VmId vm, std::uint64_t memory_bytes, double bw_cap)
 {
     // 3. Routing table: compact mesh2d encoding when the region is a
     //    row-major rectangle, standard entries otherwise.
@@ -249,24 +284,24 @@ Hypervisor::create_provision(const VnpuSpec& spec,
     if (!rt)
         rt = virt::RoutingTable::standard(vm, m.assignment);
 
-    auto vnpu = std::make_unique<virt::VirtualNpu>(vm, m.assignment, vtopo,
-                                                   *rt);
+    auto vnpu = std::make_unique<virt::VirtualNpu>(vm, m.assignment,
+                                                   req.vtopo, *rt);
     vnpu->set_mapping_ted(m.ted);
 
     // 4. NoC isolation: predefine confining directions when isolation
     //    was requested (the build rejects a disconnected region).
     CoreSet mask = vnpu->mask();
-    if (spec.noc_isolation)
+    if (req.require_connected)
         vnpu->set_confined_routes(confined_routes_for(mask));
 
     // 5. Memory: buddy blocks -> RTT entries.
-    vnpu->set_range_table(build_range_table(vm, spec.memory_bytes));
+    vnpu->set_range_table(build_range_table(vm, memory_bytes));
 
     // 6. Bandwidth share proportional to reachable memory interfaces.
     int ifaces = topo_.interfaces_of(mask, cfg_.hbm_channels);
     vnpu->set_interfaces(ifaces);
-    double cap = spec.bw_cap > 0.0
-                     ? spec.bw_cap
+    double cap = bw_cap > 0.0
+                     ? bw_cap
                      : cfg_.hbm_bytes_per_cycle * ifaces / cfg_.hbm_channels;
     vnpu->set_bandwidth_cap(cap);
 

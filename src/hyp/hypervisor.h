@@ -38,8 +38,6 @@ struct VnpuSpec {
     /** Memory-bandwidth cap (bytes/cycle); 0 = proportional share by
      *  reachable memory interfaces (paper §6.3.4). */
     double bw_cap = 0.0;
-    /** Hardware range-TLB entries per core (4 in the paper). */
-    int range_tlb_entries = 4;
     /** Candidate budget forwarded to the topology mapper. */
     std::uint64_t max_candidates = 400;
     /** Step budget for the exact-isomorphism search (kExact only). */
@@ -77,11 +75,27 @@ class Hypervisor {
     ~Hypervisor();
 
     /**
-     * Create a virtual NPU per `spec`.
+     * Create a virtual NPU per `spec`: `admit` of the mapper's answer
+     * for `request_for(spec)` on the live free set.
      * @throws SimFatal when allocation fails (caller may retry with a
      *         different strategy or size).
      */
     virt::VirtualNpu& create(const VnpuSpec& spec);
+
+    /**
+     * Provision the region `m` that the mapper returned for `req` on
+     * the live free set (`try_map`, or a plan replayed against exactly
+     * that set): the vNPU's topology is `req.vtopo`, NoC isolation
+     * follows `req.require_connected`, and `m`'s search effort and
+     * funnel counters join the stats. `bw_cap` 0 is the proportional
+     * share, as in VnpuSpec.
+     * @throws SimFatal when `m` failed or is not `req.vtopo` many
+     *         distinct free cores (nothing is allocated), or when
+     *         provisioning fails.
+     */
+    virt::VirtualNpu& admit(const MappingRequest& req, const MappingResult& m,
+                            std::uint64_t memory_bytes = 0,
+                            double bw_cap = 0.0);
 
     /** Tear down a VM: release cores, memory, and meta tables. */
     void destroy(VmId vm);
@@ -142,11 +156,17 @@ class Hypervisor {
 
     mem::RangeTable build_range_table(VmId vm, std::uint64_t bytes);
 
-    /** Steps 3-8 of create(): provision the mapped region. Split out so
-     *  create() can trace setup failures uniformly. */
-    virt::VirtualNpu& create_provision(const VnpuSpec& spec,
-                                       const graph::Graph& vtopo,
-                                       const MappingResult& m, VmId vm);
+    /** admit() without its profiler scope, so create() and admit()
+     *  share one `hyp.create` row: validate `m`, then provision it. */
+    virt::VirtualNpu& commit(const MappingRequest& req,
+                             const MappingResult& m,
+                             std::uint64_t memory_bytes, double bw_cap);
+
+    /** Steps 3-8 of commit(): provision the mapped region. Split out so
+     *  commit() can trace setup failures uniformly. */
+    virt::VirtualNpu& provision(const MappingRequest& req,
+                                const MappingResult& m, VmId vm,
+                                std::uint64_t memory_bytes, double bw_cap);
 
     const SocConfig& cfg_;
     const noc::MeshTopology& topo_;

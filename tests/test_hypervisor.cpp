@@ -176,6 +176,86 @@ TEST(HypervisorTest, FailsWhenOutOfCores)
     EXPECT_EQ(hv.stats().allocation_failures.value(), 1u);
 }
 
+TEST(HypervisorTest, AdmitRejectsMappingOffTheFreeSet)
+{
+    Machine m(sim_cfg());
+    Hypervisor hv(m.config(), m.topology(), m.controller());
+    VnpuSpec spec;
+    spec.topo = graph::Graph::mesh(2, 2);
+    spec.strategy = MappingStrategy::kExact;
+    const CoreId busy = hv.create(spec).cores().front();
+    const MappingRequest req = request_for(spec);
+    const MappingResult good = hv.try_map(req);
+    ASSERT_TRUE(good.ok);
+
+    MappingResult occupied = good;
+    occupied.assignment[0] = busy;
+    MappingResult duplicated = good;
+    duplicated.assignment[1] = duplicated.assignment[0];
+    MappingResult short_by_one = good;
+    short_by_one.assignment.pop_back();
+    MappingResult off_mesh = good;
+    off_mesh.assignment[2] = m.topology().num_nodes();
+    MappingResult failed = good;
+    failed.ok = false;
+    failed.error = "no region";
+
+    const CoreSet free_before = hv.free_cores();
+    for (const MappingResult* bad :
+         {&occupied, &duplicated, &short_by_one, &off_mesh, &failed})
+        EXPECT_THROW(hv.admit(req, *bad), SimFatal);
+    EXPECT_EQ(hv.free_cores(), free_before);
+    EXPECT_EQ(hv.stats().vnpus_created.value(), 1u);
+    EXPECT_EQ(hv.stats().allocation_failures.value(), 5u);
+    // No VM id was spent on a rejected mapping.
+    EXPECT_EQ(hv.admit(req, good).vm(), 2u);
+}
+
+TEST(HypervisorTest, CreateEqualsAdmitOfTryMap)
+{
+    Machine ma(sim_cfg());
+    Machine mb(sim_cfg());
+    Hypervisor a(ma.config(), ma.topology(), ma.controller());
+    Hypervisor b(mb.config(), mb.topology(), mb.controller());
+
+    VnpuSpec exact;
+    exact.topo = graph::Graph::mesh(3, 2);
+    exact.strategy = MappingStrategy::kExact;
+    exact.memory_bytes = 8ull << 20;
+    VnpuSpec similar;
+    similar.num_cores = 7;
+    similar.strategy = MappingStrategy::kSimilarTopology;
+    similar.memory_bytes = 32ull << 20;
+    VnpuSpec plain;
+    plain.num_cores = 4;
+    plain.strategy = MappingStrategy::kStraightforward;
+    plain.noc_isolation = false;
+    plain.bw_cap = 3.5;
+
+    // Twice round, so the later requests land on a fragmented mesh.
+    for (int round = 0; round < 2; ++round) {
+        for (const VnpuSpec* spec : {&exact, &similar, &plain}) {
+            const virt::VirtualNpu& va = a.create(*spec);
+            const MappingRequest req = request_for(*spec);
+            const virt::VirtualNpu& vb = b.admit(
+                req, b.try_map(req), spec->memory_bytes, spec->bw_cap);
+            EXPECT_EQ(va.vm(), vb.vm());
+            EXPECT_EQ(va.cores(), vb.cores());
+            EXPECT_EQ(va.mapping_ted(), vb.mapping_ted());
+            EXPECT_EQ(va.isolated(), vb.isolated());
+            EXPECT_EQ(va.bandwidth_cap(), vb.bandwidth_cap());
+            EXPECT_EQ(a.last_setup_cost(), b.last_setup_cost());
+            EXPECT_EQ(ma.controller().meta_bytes(va.vm()),
+                      mb.controller().meta_bytes(vb.vm()));
+        }
+    }
+    EXPECT_EQ(a.free_cores(), b.free_cores());
+    EXPECT_EQ(a.stats().setup_cycles.value(), b.stats().setup_cycles.value());
+    EXPECT_EQ(a.stats().mapper_search_steps.value(),
+              b.stats().mapper_search_steps.value());
+    EXPECT_EQ(a.stats().funnel.candidates, b.stats().funnel.candidates);
+}
+
 TEST(HypervisorTest, BestEffortUsesLeftoverCores)
 {
     // The lock-in scenario of §4.3: after one 3x3 exact allocation on
