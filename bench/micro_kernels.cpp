@@ -117,6 +117,41 @@ BM_EnumerateFragmented1024(benchmark::State& state)
 }
 BENCHMARK(BM_EnumerateFragmented1024)->Arg(16)->Arg(40);
 
+/**
+ * The admission funnel's scoring layer: `GedScorer::score_subset` of a
+ * snake request against sampled connected regions of a fragmented
+ * 32x32 free set (row-major runs of 8-47 cores, half of them taken, so
+ * 40-core regions exist). range(0) = k: 9 runs the exact branch and
+ * bound, 40 the approximate 2-opt search. One iteration scores the
+ * first 16 of 256 sampler draws.
+ */
+static void
+BM_ScoreSubsetFragmented1024(benchmark::State& state)
+{
+    const graph::Graph mesh = graph::Graph::mesh(32, 32);
+    const int k = static_cast<int>(state.range(0));
+    Rng rng(0xF4A6);
+    graph::NodeMask free;
+    for (int id = 0; id < 1024;) {
+        const int run = 8 + static_cast<int>(rng.next_below(40));
+        const bool take = rng.next_below(2) != 0;
+        for (int end = std::min(1024, id + run); id < end; ++id)
+            if (!take)
+                free.set(id);
+    }
+    std::vector<graph::NodeMask> cands =
+        graph::sample_connected_subsets(mesh, k, free, 256, rng);
+    cands.resize(std::min<std::size_t>(cands.size(), 16));
+    const graph::GedScorer scorer(hyp::TopologyMapper::snake_topology(k),
+                                  graph::GedOptions{});
+    for (auto _ : state)
+        for (const graph::NodeMask& m : cands)
+            benchmark::DoNotOptimize(scorer.score_subset(mesh, m).cost);
+    state.SetItemsProcessed(state.iterations() *
+                            static_cast<std::int64_t>(cands.size()));
+}
+BENCHMARK(BM_ScoreSubsetFragmented1024)->Arg(9)->Arg(40);
+
 static void
 BM_RangeTlbHit(benchmark::State& state)
 {

@@ -201,6 +201,83 @@ struct ExactSearch {
     }
 };
 
+/** Default edit costs (unit node/edge terms), where every partial cost
+ *  is a small integer and the integer kernels below apply. */
+bool
+default_costs(const GedOptions& opt)
+{
+    return !opt.node_cost && !opt.edge_del_cost && opt.edge_ins_cost == 1.0;
+}
+
+/** OR of bit `inv[c]` over the set bits c of `s` (n <= 64). */
+std::uint64_t
+preimages(std::uint64_t s, const int* inv)
+{
+    std::uint64_t r = 0;
+    for (; s; s &= s - 1)
+        r |= std::uint64_t{1} << inv[__builtin_ctzll(s)];
+    return r;
+}
+
+/**
+ * Integer twin of ExactSearch for default costs and n <= 64 (one
+ * adjacency word per row). Assigning req node v -> cand node c costs
+ * the label mismatch plus one edit per earlier req node u < v whose
+ * edge to v disagrees with the edge between their images:
+ *
+ *   inc(v, c) = [label_v != label_c]
+ *             + popcount((req_row[v] & below(v))
+ *                        ^ preimages(cand_row[c] & used))
+ *
+ * where `inv[]` holds each used candidate's preimage. The DFS order,
+ * the `>= best` prunes and the `cost_bound` start are ExactSearch's;
+ * every partial cost is a small integer, exactly representable, so each
+ * comparison against the double bound decides as ExactSearch's does and
+ * the result (cost and mapping) is bit-identical.
+ */
+struct ExactSearchInt {
+    const std::uint64_t* rrow;
+    const std::uint64_t* crow;
+    const int* rlabel;
+    const int* clabel;
+    int n;
+    double best; ///< the prune bound, then the best complete cost
+    bool found = false;
+    std::uint64_t used = 0;
+    int map[64] = {};
+    int inv[64] = {};
+    int best_map[64] = {};
+
+    void
+    dfs(int v, int acc)
+    {
+        if (acc >= best)
+            return;
+        if (v == n) {
+            best = acc;
+            std::copy(map, map + n, best_map);
+            found = true;
+            return;
+        }
+        const std::uint64_t earlier =
+            rrow[v] & ((std::uint64_t{1} << v) - 1); // v <= 63
+        for (int c = 0; c < n; ++c) {
+            if ((used >> c) & 1)
+                continue;
+            const int inc =
+                (rlabel[v] != clabel[c]) +
+                __builtin_popcountll(earlier ^ preimages(crow[c] & used, inv));
+            if (acc + inc >= best)
+                continue;
+            map[v] = c;
+            inv[c] = v;
+            used |= std::uint64_t{1} << c;
+            dfs(v + 1, acc + inc);
+            used &= ~(std::uint64_t{1} << c);
+        }
+    }
+};
+
 /**
  * Cost change of swapping the images of req nodes `a` and `b`.
  * Only node terms of a/b and req edges incident to a or b change; the
@@ -309,19 +386,29 @@ constexpr int kMaxTwoOptPasses = 24;
  * A swap's support is local, so only {a, b} and their request
  * neighbors need nimg/mc updates afterwards.
  *
- * When labels are uniform on each side, node terms vanish and a pair
- * with both endpoints fully matched (mc == degree) has old >= new
- * termwise, hence delta >= 0: the scan skips such pairs without
- * evaluating them, which cannot change the applied-swap sequence.
+ * When labels are uniform on each side, node terms vanish and two skips
+ * apply, each to pairs with delta >= 0 only, so neither can change the
+ * applied-swap sequence:
+ *
+ *  - both endpoints fully matched (mc == degree): old >= new termwise;
+ *  - b outside a's gain set, i.e. both popcount terms are zero. Then
+ *    delta = 2 * (mc[a] + mc[b] - 2*[a~b][map[a]~map[b]]) >= 0, since a
+ *    matched (a, b) edge is counted in both mc[a] and mc[b]. A popcount
+ *    term is nonzero iff map[b] is adjacent to the image of one of a's
+ *    neighbours, or b is adjacent to the preimage of one of map[a]'s
+ *    neighbours, so with `inv[]` (each candidate's preimage)
+ *
+ *      gain(a) = preimages(OR of cand_row[c] over c in nimg[a])
+ *              | OR of req_row[u] over u in preimages(cand_row[map[a]])
+ *
+ *    is built once per a and rebuilt after each applied swap.
  */
 double
 approx_refine(const DenseGraph& req, const DenseGraph& cand,
               const GedOptions& opt, std::vector<int>& map)
 {
     const int n = req.n;
-    const bool fast = n <= 64 && !opt.node_cost && !opt.edge_del_cost &&
-                      opt.edge_ins_cost == 1.0;
-    if (!fast) {
+    if (n > 64 || !default_costs(opt)) {
         double cost = mapping_cost(req, cand, map, opt);
         for (int pass = 0; pass < kMaxTwoOptPasses; ++pass) {
             bool improved = false;
@@ -353,9 +440,10 @@ approx_refine(const DenseGraph& req, const DenseGraph& cand,
     const bool uniform = req_uni && cand_uni;
 
     std::uint64_t nimg[64] = {};
-    int mc[64], deg[64];
+    int mc[64] = {}, deg[64] = {}, inv[64] = {};
     for (int v = 0; v < n; ++v) {
         deg[v] = req.degree(v);
+        inv[map[v]] = v;
         for (int i = req.nbr_off[v]; i < req.nbr_off[v + 1]; ++i)
             nimg[v] |= std::uint64_t{1} << map[req.nbr[i]];
     }
@@ -380,19 +468,33 @@ approx_refine(const DenseGraph& req, const DenseGraph& cand,
             umask &= ~(std::uint64_t{1} << x);
     };
 
+    // Pairs (a, b) that may improve; all of them unless labels are
+    // uniform (see the gain-set skip above).
+    auto gain_set = [&](int a) {
+        if (!uniform)
+            return ~std::uint64_t{0};
+        std::uint64_t near = 0;
+        for (std::uint64_t s = nimg[a]; s; s &= s - 1)
+            near |= crow[__builtin_ctzll(s)];
+        std::uint64_t g = preimages(near, inv);
+        for (std::uint64_t s = preimages(crow[map[a]], inv); s; s &= s - 1)
+            g |= rrow[__builtin_ctzll(s)];
+        if (!((umask >> a) & 1))
+            g &= umask; // a fully matched: b must not be
+        return g;
+    };
+
     for (int pass = 0; pass < kMaxTwoOptPasses; ++pass) {
         bool improved = false;
         for (int a = 0; a < n; ++a) {
-            bool a_unm = !uniform || ((umask >> a) & 1);
+            std::uint64_t gain = gain_set(a);
             int b = a + 1;
             while (b < n) {
-                if (!a_unm) {
-                    // b <= 63 here (b < n <= 64), so the shift is safe.
-                    std::uint64_t rest = (umask >> b) << b;
-                    if (!rest)
-                        break;
-                    b = __builtin_ctzll(rest);
-                }
+                // b <= 63 here (b < n <= 64), so the shift is safe.
+                std::uint64_t rest = (gain >> b) << b;
+                if (!rest)
+                    break;
+                b = __builtin_ctzll(rest);
                 const int ma = map[a], mb = map[b];
                 long long d =
                     2ll *
@@ -427,9 +529,11 @@ approx_refine(const DenseGraph& req, const DenseGraph& cand,
                     for (int i = req.nbr_off[b]; i < req.nbr_off[b + 1];
                          ++i)
                         update_node(req.nbr[i]);
+                    inv[mb] = a;
+                    inv[ma] = b;
                     cost += d;
                     improved = true;
-                    a_unm = !uniform || ((umask >> a) & 1);
+                    gain = gain_set(a);
                 }
                 ++b;
             }
@@ -488,6 +592,16 @@ exact_core(const DenseGraph& dreq, const DenseGraph& dcand,
            const GedOptions& opt)
 {
     const int n = dreq.n;
+    if (n <= 64 && default_costs(opt)) {
+        ExactSearchInt search{dreq.bits.data(), dcand.bits.data(),
+                              dreq.label.data(), dcand.label.data(), n,
+                              opt.cost_bound};
+        search.dfs(0, 0);
+        if (!search.found)
+            return {std::numeric_limits<double>::infinity(), {}};
+        return {search.best,
+                std::vector<int>(search.best_map, search.best_map + n)};
+    }
     ExactSearch search{dreq,
                        dcand,
                        opt,

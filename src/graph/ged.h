@@ -77,11 +77,25 @@ double ged_mapping_cost(const Graph& req, const Graph& cand,
                         const std::vector<int>& mapping,
                         const GedOptions& opt = {});
 
-/** Exact minimum TED by branch and bound. @pre req.n == cand.n <= ~10 */
+/**
+ * Exact minimum TED by branch and bound. @pre req.n == cand.n <= ~10
+ *
+ * Under default costs (no callbacks, `edge_ins_cost` 1) and n <= 64
+ * the search runs on integer costs over one-word adjacency rows; every
+ * partial cost is then a small integer, so it returns the generic
+ * search's cost and mapping bit for bit, under any `cost_bound`.
+ */
 GedResult exact_ged(const Graph& req, const Graph& cand,
                     const GedOptions& opt = {});
 
-/** Approximate minimum TED: greedy BFS-seeded assignment + 2-opt. */
+/**
+ * Approximate minimum TED: greedy BFS-seeded assignment + 2-opt.
+ *
+ * Under default costs and n <= 64 the 2-opt runs on integer deltas and
+ * skips only pairs whose swap cannot lower the cost (delta >= 0), so
+ * it applies the generic search's swaps in the same order and returns
+ * the same cost and mapping.
+ */
 GedResult approx_ged(const Graph& req, const Graph& cand,
                      const GedOptions& opt = {});
 

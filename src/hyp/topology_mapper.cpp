@@ -157,15 +157,23 @@ class HashSet64 {
  * and skip the sampler entirely when they already contain a TED-0
  * winner (the sampled tail could never have been reached: the scorer
  * early-exits at the first zero-cost hash-equal candidate).
+ *
+ * Masks are WL-hashed on the pool in batches of `kHashBatch`, then
+ * deduplicated in emission order; the dedup stops at the candidate cap
+ * exactly where a mask-at-a-time walk would, and masks past the cut
+ * are dropped uncounted (docs/sim_kernel.md, "Parallel determinism
+ * invariant").
  */
 struct CandidateCollector {
+    static constexpr std::size_t kHashBatch = 64;
+
     const MappingRequest& req;
     const CoreSet& free;
     const graph::Graph& mesh;
     HashSet64 dedup; // "one instance per topology"
     std::vector<graph::NodeMask> masks;
     std::vector<std::uint64_t> hashes; ///< wl_hash_subset per mask
-    std::uint64_t seen = 0;
+    std::uint64_t seen = 0; ///< masks the dedup consumed
     bool sampling_pending = false;
 
     CandidateCollector(const MappingRequest& r, const CoreSet& f,
@@ -176,17 +184,42 @@ struct CandidateCollector {
     {
     }
 
+    /** Dedup `n` hashed masks in order until `masks` holds `cap`;
+     *  false once the cap is reached (the rest are dropped). */
     bool
-    consider(const graph::NodeMask& m)
+    absorb(const graph::NodeMask* m, const std::uint64_t* h, std::size_t n,
+           std::size_t cap)
     {
         VNPU_PROF("funnel.wl_dedup");
-        ++seen;
-        std::uint64_t h = mesh.wl_hash_subset(m);
-        if (!dedup.insert(h))
-            return true; // duplicate shape, prune
-        masks.push_back(m);
-        hashes.push_back(h);
-        return masks.size() < static_cast<std::size_t>(req.max_candidates);
+        for (std::size_t i = 0; i < n; ++i) {
+            ++seen;
+            if (!dedup.insert(h[i]))
+                continue; // duplicate shape, prune
+            masks.push_back(m[i]);
+            hashes.push_back(h[i]);
+            if (masks.size() >= cap)
+                return false;
+        }
+        return true;
+    }
+
+    /** Hash `batch` on the pool kHashBatch masks at a time and absorb
+     *  each slice; false once the cap is reached. */
+    bool
+    consume(const std::vector<graph::NodeMask>& batch, std::size_t cap)
+    {
+        std::vector<std::uint64_t> h(std::min(batch.size(), kHashBatch));
+        for (std::size_t lo = 0; lo < batch.size(); lo += kHashBatch) {
+            const std::size_t n = std::min(batch.size() - lo, kHashBatch);
+            TaskPool::instance().parallel_for(
+                0, static_cast<int>(n), [&](int i) {
+                    VNPU_PROF("funnel.wl_hash");
+                    h[i] = mesh.wl_hash_subset(batch[lo + i]);
+                });
+            if (!absorb(&batch[lo], h.data(), n, cap))
+                return false;
+        }
+        return true;
     }
 
     void
@@ -203,7 +236,16 @@ struct CandidateCollector {
             seen = 1;
             return;
         }
-        auto cb = [&](const graph::NodeMask& m) { return consider(m); };
+        const std::size_t cap = req.max_candidates;
+        std::vector<graph::NodeMask> pending;
+        auto cb = [&](const graph::NodeMask& m) {
+            pending.push_back(m);
+            if (pending.size() < kHashBatch)
+                return true;
+            const bool more = consume(pending, cap);
+            pending.clear();
+            return more;
+        };
         // Exact enumeration while cheap; otherwise deterministic
         // sampling (deferred to sample_phase).
         std::uint64_t space = graph::binomial(free.count(), k);
@@ -215,23 +257,41 @@ struct CandidateCollector {
                                                req.max_candidates * 4);
             sampling_pending = true;
         }
+        consume(pending, cap);
     }
+
+    /** The sampler's draws; a pure function of (k, free). */
+    std::vector<graph::NodeMask>
+    draw_samples() const
+    {
+        VNPU_PROF("funnel.sample");
+        const int k = req.vtopo.num_nodes();
+        Rng rng(0x5eed + static_cast<std::uint64_t>(k));
+        return graph::sample_connected_subsets(
+            mesh, k, free, static_cast<int>(req.max_candidates) * 4, rng);
+    }
+
+    /** Sampled candidates join after the enumerated ones, up to twice
+     *  the enumeration cap. */
+    std::size_t sample_cap() const { return req.max_candidates * 2; }
 
     void
     sample_phase()
     {
-        VNPU_PROF("funnel.sample");
         sampling_pending = false;
-        const int k = req.vtopo.num_nodes();
-        Rng rng(0x5eed + static_cast<std::uint64_t>(k));
-        auto sampled = graph::sample_connected_subsets(
-            mesh, k, free, static_cast<int>(req.max_candidates) * 4, rng);
-        for (const graph::NodeMask& m : sampled) {
-            if (masks.size() >=
-                static_cast<std::size_t>(req.max_candidates) * 2)
-                break;
-            consider(m);
-        }
+        if (masks.size() < sample_cap())
+            consume(draw_samples(), sample_cap());
+    }
+
+    /** sample_phase() with the draws and their hashes already made. */
+    void
+    absorb_samples(const std::vector<graph::NodeMask>& draws,
+                   const std::vector<std::uint64_t>& draw_hashes)
+    {
+        sampling_pending = false;
+        if (masks.size() < sample_cap())
+            absorb(draws.data(), draw_hashes.data(), draws.size(),
+                   sample_cap());
     }
 };
 
@@ -768,8 +828,15 @@ TopologyMapper::map_straightforward(const MappingRequest& req,
                                     const CoreSet& free) const
 {
     const int k = req.vtopo.num_nodes();
-    std::vector<int> nodes = graph::Graph::mask_to_nodes(free);
-    nodes.resize(k); // lowest ids first (zig-zag over the mesh rows)
+    // The k lowest free ids (zig-zag over the mesh rows); map() checked
+    // that k cores are free.
+    std::vector<int> nodes;
+    nodes.reserve(k);
+    for (int c : free) {
+        nodes.push_back(c);
+        if (static_cast<int>(nodes.size()) == k)
+            break;
+    }
 
     const graph::Graph sub = topo_.induced(nodes);
     // Identity order: virtual core v sits on the v-th lowest free core.
@@ -791,7 +858,7 @@ TopologyMapper::map_similar(const MappingRequest& req, const CoreSet& free,
                             bool allow_fragmented) const
 {
     const int k = req.vtopo.num_nodes();
-    graph::Graph mesh = topo_.to_graph();
+    const graph::Graph mesh = topo_.to_graph();
     std::uint64_t req_hash = req.vtopo.wl_hash();
 
     // Custom cost callbacks disable the funnel stages: an arbitrary
@@ -818,15 +885,77 @@ TopologyMapper::map_similar(const MappingRequest& req, const CoreSet& free,
     // of the per-candidate loop; scoring through it is bit-identical to
     // graph::ged against the induced candidate subgraph.
     const graph::GedScorer scorer(req.vtopo, req.ged);
+    auto candidate_lb = [&](std::size_t i) {
+        VNPU_PROF("funnel.lb_prune");
+        return graph::ged_lower_bound(
+            req_profile, subset_profile(mesh, col.masks[i]), req.ged);
+    };
 
-    // Staged scorer over col.masks[lo..): chunked so the prune bound
-    // refreshes between pool batches; returns true on the TED-0 early
-    // exit. Reduction is sequential in candidate index order, so the
-    // decision is bit-identical to the legacy one-candidate-at-a-time
+    // Approximate path: a candidate's score ignores the prune bound and
+    // its lower bound is a function of the mask alone, so one pool job
+    // computes both for a whole run of candidates [spec_lo, spec_hi)
+    // ahead of the chunked replay below, which discards the slots it
+    // prunes or serves from the memo. The run ends with the chunk
+    // holding the next request-hash-equal candidate, the only place the
+    // TED-0 exit can fire. A run that reaches the end of the enumerated
+    // phase with none left also draws the sampler's candidates (one
+    // more slot), which the scan then cannot skip.
+    const bool speculate = funnel && k > req.ged.exact_limit;
+    std::size_t spec_lo = 0, spec_hi = 0;
+    std::vector<double> spec_lb;
+    std::vector<graph::GedResult> spec_ged;
+    std::vector<graph::NodeMask> early_draws;
+    std::vector<std::uint64_t> early_hashes;
+    bool early_sampled = false;
+    auto speculate_from = [&](std::size_t phase_lo, std::size_t lo) {
+        // vnpu-lint: hot-path (funnel scoring; per-run slot vectors are
+        // the only allowed growth, suppressed per line)
+        std::size_t hi = col.masks.size();
+        bool equal_ahead = false;
+        for (std::size_t i = lo; i < hi && !equal_ahead; ++i) {
+            if (col.hashes[i] == req_hash) {
+                equal_ahead = true;
+                const std::size_t chunk = (i - phase_lo) / kScoreChunk;
+                hi = std::min(hi, phase_lo + (chunk + 1) * kScoreChunk);
+            }
+        }
+        const bool sampler_slot =
+            col.sampling_pending && !early_sampled && !equal_ahead;
+        const int extra = sampler_slot ? 1 : 0;
+        spec_lo = lo;
+        spec_hi = hi;
+        // vnpu-lint: allow-next-line(hot-path-alloc) per-run slots
+        spec_lb.resize(hi - lo);
+        // vnpu-lint: allow-next-line(hot-path-alloc) per-run slots
+        spec_ged.resize(hi - lo);
+        TaskPool::instance().parallel_for(
+            0, static_cast<int>(hi - lo) + extra, [&](int j) {
+                if (j < extra) { // the sampler slot starts first
+                    early_draws = col.draw_samples();
+                    VNPU_PROF("funnel.wl_hash");
+                    // vnpu-lint: allow-next-line(hot-path-alloc) per-phase
+                    early_hashes.resize(early_draws.size());
+                    for (std::size_t d = 0; d < early_draws.size(); ++d)
+                        early_hashes[d] = mesh.wl_hash_subset(early_draws[d]);
+                    return;
+                }
+                const std::size_t i = lo + static_cast<std::size_t>(j - extra);
+                spec_lb[i - lo] = candidate_lb(i);
+                VNPU_PROF("funnel.full_ged");
+                spec_ged[i - lo] = scorer.score_subset(mesh, col.masks[i]);
+            });
+        early_sampled = early_sampled || sampler_slot;
+    };
+
+    // Staged scorer over col.masks[phase_lo..): chunked so the prune
+    // bound refreshes between pool batches; returns true on the TED-0
+    // early exit. Reduction is sequential in candidate index order, so
+    // the decision is bit-identical to the legacy one-candidate-at-a-time
     // loop (and to any worker count).
-    auto score_range = [&](std::size_t lo) -> bool {
+    auto score_range = [&](std::size_t phase_lo) -> bool {
         // vnpu-lint: hot-path (funnel scoring; per-chunk bookkeeping
         // vectors are the only allowed growth, suppressed per line)
+        std::size_t lo = phase_lo;
         while (lo < col.masks.size()) {
             const std::size_t hi =
                 std::min(col.masks.size(), lo + kScoreChunk);
@@ -834,6 +963,8 @@ TopologyMapper::map_similar(const MappingRequest& req, const CoreSet& free,
             const double bound = best; // frozen for this chunk
             std::vector<CandidateScore> slots(n_slots);
             std::vector<int> runnable; // slots needing a GED run
+            if (speculate && lo >= spec_hi)
+                speculate_from(phase_lo, lo);
 
             // Stages 2+3 (sequential pre-pass): memo probe, then the
             // admissible lower bound against the chunk bound.
@@ -861,15 +992,9 @@ TopologyMapper::map_similar(const MappingRequest& req, const CoreSet& free,
                     }
                 }
                 ++res.funnel.memo_misses;
-                bool lb_pruned;
-                {
-                    VNPU_PROF("funnel.lb_prune");
-                    lb_pruned = graph::ged_lower_bound(
-                                    req_profile,
-                                    subset_profile(mesh, col.masks[i]),
-                                    req.ged) > bound;
-                }
-                if (lb_pruned) {
+                const double lb =
+                    speculate ? spec_lb[i - spec_lo] : candidate_lb(i);
+                if (lb > bound) {
                     ++res.funnel.lb_pruned; // cost >= lb > any later best
                     continue;
                 }
@@ -889,9 +1014,14 @@ TopologyMapper::map_similar(const MappingRequest& req, const CoreSet& free,
                 if (k > req.ged.exact_limit) {
                     // The hot path: approximate scoring through the
                     // hoisted request-side state (== graph::ged on the
-                    // induced subgraph, bit for bit).
-                    VNPU_PROF("funnel.full_ged");
-                    g = scorer.score_subset(mesh, col.masks[i]);
+                    // induced subgraph, bit for bit), precomputed by the
+                    // speculative run when the funnel is on.
+                    if (speculate) {
+                        g = std::move(spec_ged[i - spec_lo]);
+                    } else {
+                        VNPU_PROF("funnel.full_ged");
+                        g = scorer.score_subset(mesh, col.masks[i]);
+                    }
                     out.bound_used =
                         std::numeric_limits<double>::infinity();
                     out.kind = CandidateScore::Kind::kScored;
@@ -946,12 +1076,13 @@ TopologyMapper::map_similar(const MappingRequest& req, const CoreSet& free,
                 out.cost = g.cost;
                 out.mapping = std::move(g.mapping);
             };
-            if (funnel) {
+            if (funnel && !speculate) {
                 TaskPool::instance().parallel_for(
                     0, static_cast<int>(runnable.size()), run_one);
             } else {
-                // Custom cost callbacks may not be thread-safe; score
-                // on the calling thread like the legacy loop did.
+                // Speculated scores are ready; custom cost callbacks
+                // may not be thread-safe, so score those on the calling
+                // thread like the legacy loop did.
                 for (int ri = 0; ri < static_cast<int>(runnable.size());
                      ++ri)
                     run_one(ri);
@@ -999,7 +1130,10 @@ TopologyMapper::map_similar(const MappingRequest& req, const CoreSet& free,
     bool adjacency_perfect = score_range(0);
     if (!adjacency_perfect && col.sampling_pending) {
         const std::size_t lo = col.masks.size();
-        col.sample_phase();
+        if (early_sampled)
+            col.absorb_samples(early_draws, early_hashes);
+        else
+            col.sample_phase();
         adjacency_perfect = score_range(lo);
     }
     res.candidates_considered = col.seen;

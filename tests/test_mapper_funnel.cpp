@@ -8,8 +8,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <iterator>
+#include <limits>
 #include <stdexcept>
 #include <vector>
 
@@ -33,6 +36,35 @@ random_graph(int n, Rng& rng, int labels = 1)
         for (int v = 0; v < n; ++v)
             g.set_label(v, static_cast<int>(rng.next_below(labels)));
     return g;
+}
+
+/**
+ * A 32x32 free set fragmented like straightforward-mapped tenants:
+ * row-major runs of 8-47 cores, three in four of them taken.
+ */
+CoreSet
+fragmented_1024(Rng& rng)
+{
+    CoreSet free_cores;
+    for (int id = 0; id < 1024;) {
+        const int run = 8 + static_cast<int>(rng.next_below(40));
+        const bool take = rng.next_below(4) != 0;
+        for (int end = std::min(1024, id + run); id < end; ++id)
+            if (!take)
+                free_cores.set(id);
+    }
+    return free_cores;
+}
+
+/** Options whose callbacks reproduce the default costs, forcing the
+ *  generic floating-point GED paths. */
+graph::GedOptions
+generic_default_costs()
+{
+    graph::GedOptions o;
+    o.node_cost = [](int a, int b) { return a == b ? 0.0 : 1.0; };
+    o.edge_del_cost = [](int, int) { return 1.0; };
+    return o;
 }
 
 /**
@@ -136,6 +168,151 @@ TEST(MapperFunnelTest, StageCountersAccount)
     EXPECT_GT(again.funnel.memo_hits, 0u);
     EXPECT_EQ(again.assignment, r.assignment);
     EXPECT_EQ(again.ted, r.ted);
+}
+
+/** One similar admission of `similar_churn_32x32`, as the mapper
+ *  reported it. */
+struct ChurnRecord {
+    bool ok;
+    std::uint64_t assignment_hash; ///< FNV-1a over the assignment
+    double ted;
+    std::uint64_t candidates_considered;
+    FunnelCounters funnel;
+};
+
+/**
+ * A 32x32 similar-topology churn with the benchmark's candidate cap
+ * (64): snake requests of every size in 8..47 on a fragmented mesh,
+ * each admitted region held until a seeded coin retires the oldest.
+ * Every tenth request is mapped twice against the same free set, so
+ * the memo answers the repeat. The sequence reaches the sampled tail,
+ * TED-0 exits on both the exact and the approximate path, and memo
+ * hits.
+ */
+std::vector<ChurnRecord>
+similar_churn_32x32()
+{
+    noc::MeshTopology topo(32, 32);
+    TopologyMapper mapper(topo);
+    Rng rng(2101);
+    CoreSet free_cores = fragmented_1024(rng) | fragmented_1024(rng);
+    std::vector<CoreSet> live;
+    std::vector<ChurnRecord> out;
+    for (int step = 0; step < 40; ++step) {
+        MappingRequest req;
+        req.vtopo = TopologyMapper::snake_topology(8 + step * 13 % 40);
+        req.strategy = MappingStrategy::kSimilarTopology;
+        req.max_candidates = 64;
+        MappingResult r;
+        for (int rep = 0; rep < (step % 10 == 9 ? 2 : 1); ++rep) {
+            r = mapper.map(req, free_cores);
+            std::uint64_t h = 0xcbf29ce484222325ULL;
+            for (CoreId c : r.assignment) {
+                h ^= static_cast<std::uint64_t>(c);
+                h *= 0x100000001b3ULL;
+            }
+            out.push_back({r.ok, h, r.ted, r.candidates_considered,
+                           r.funnel});
+        }
+        if (r.ok) {
+            CoreSet used;
+            for (CoreId c : r.assignment)
+                used.set(static_cast<int>(c));
+            free_cores = free_cores.andnot(used);
+            live.push_back(used);
+        }
+        while (!live.empty() &&
+               (free_cores.count() < 192 ||
+                (live.size() > 3 && rng.next_below(2) == 0))) {
+            free_cores |= live.front();
+            live.erase(live.begin());
+        }
+    }
+    return out;
+}
+
+TEST(MapperFunnelTest, SimilarChurnMatchesParentRecord)
+{
+    // Recorded from the sequential funnel (one chunk of 16 scored at a
+    // time, hashing and sampling on the calling thread) before the
+    // pooled phase jobs replaced it: (ok, assignment hash, TED,
+    // candidates_considered, {candidates, lb_pruned, memo_hits,
+    // memo_misses, ted0_hits, full_ged}) per admission.
+    const ChurnRecord kRecord[] = {
+        {true, 0xe0bf8cb11316f700ULL, 0, 485, {33, 12, 0, 33, 1, 18}},
+        {true, 0xecda20f7eeaa7410ULL, 7, 251, {128, 8, 0, 128, 0, 120}},
+        {true, 0xcd1f3160b61761f2ULL, 14, 138, {128, 0, 0, 128, 0, 128}},
+        {true, 0x1444fc9df5195a4dULL, 44, 302, {128, 0, 0, 128, 0, 128}},
+        {true, 0x69a455fbb57d3f53ULL, 17, 374, {128, 15, 0, 128, 0, 113}},
+        {true, 0x8b164c1dbe90fbd7ULL, 21, 85, {57, 1, 0, 57, 0, 56}},
+        {true, 0x2d49d68a5c833a10ULL, 32, 150, {128, 0, 0, 128, 0, 128}},
+        {true, 0xfcfc38a44c435797ULL, 7, 219, {128, 10, 0, 128, 0, 118}},
+        {true, 0x34542193b660a470ULL, 32, 175, {128, 0, 0, 128, 0, 128}},
+        {true, 0x691ecb95421d6e18ULL, 56, 41, {28, 0, 0, 28, 0, 28}},
+        {true, 0x691ecb95421d6e18ULL, 56, 41, {28, 0, 28, 0, 0, 0}},
+        {true, 0xd68ec7be9ff336aaULL, 2, 203, {128, 10, 0, 128, 0, 118}},
+        {true, 0xa2fd436159ed6f16ULL, 14, 146, {128, 0, 0, 128, 0, 128}},
+        {true, 0x16b7def405bca57aULL, 41, 158, {128, 0, 0, 128, 0, 128}},
+        {true, 0xde4cf5edb20b5592ULL, 3, 189, {128, 26, 0, 128, 0, 102}},
+        {true, 0x790a2ec2bdf9a6fdULL, 15, 156, {116, 15, 0, 116, 0, 101}},
+        {true, 0xdb439990175fb190ULL, 35, 115, {87, 0, 0, 87, 0, 87}},
+        {true, 0x7ee75b8a4d080488ULL, 5, 188, {128, 10, 0, 128, 0, 118}},
+        {true, 0x5e3416f97f48c7abULL, 12, 349, {128, 1, 0, 128, 0, 127}},
+        {true, 0x698d6831115a687fULL, 41, 145, {112, 0, 0, 112, 0, 112}},
+        {true, 0x40f6dd0aab875960ULL, 2, 291, {128, 50, 0, 128, 0, 78}},
+        {true, 0x40f6dd0aab875960ULL, 2, 291, {128, 50, 78, 50, 0, 0}},
+        {true, 0x5d11b2b7ede407a4ULL, 17, 331, {90, 0, 0, 90, 0, 90}},
+        {true, 0xb3d9e528b47a21e3ULL, 41, 303, {70, 0, 0, 70, 0, 70}},
+        {true, 0xb1256d4422bc11e2ULL, 1, 229, {123, 67, 0, 123, 0, 56}},
+        {true, 0xce6b273cd9883f05ULL, 14, 149, {128, 1, 0, 128, 0, 127}},
+        {true, 0xc8f9f0a158fa1f9eULL, 42, 111, {102, 0, 0, 102, 0, 102}},
+        {true, 0x10f98bb1ed40c486ULL, 0, 278, {96, 12, 0, 96, 0, 78}},
+        {true, 0xbde505e802cf6b1bULL, 9, 330, {128, 3, 0, 128, 0, 125}},
+        {true, 0xc22690c0184fee5eULL, 49, 104, {100, 0, 0, 100, 0, 100}},
+        {true, 0xb9e05e52d69c0ef2ULL, 1, 265, {122, 84, 0, 122, 0, 38}},
+        {true, 0x274acaf10ea9a69aULL, 16, 328, {83, 0, 0, 83, 0, 83}},
+        {true, 0x274acaf10ea9a69aULL, 16, 328, {83, 0, 83, 0, 0, 0}},
+        {true, 0xcc1aedcc2560c14cULL, 46, 304, {73, 0, 0, 73, 0, 73}},
+        {true, 0x386e8c26d01fc49fULL, 0, 294, {96, 59, 0, 96, 0, 32}},
+        {true, 0xd8523058a2499c86ULL, 8, 141, {128, 1, 0, 128, 0, 127}},
+        {true, 0x9abbbe74ac1d6df2ULL, 30, 64, {60, 0, 0, 60, 0, 60}},
+        {true, 0x923bf22f06076fa6ULL, 1, 421, {96, 17, 0, 96, 0, 79}},
+        {true, 0xb348b29fd202712fULL, 20, 139, {110, 13, 0, 110, 0, 97}},
+        {false, 0xcbf29ce484222325ULL, 0, 0, {0, 0, 0, 0, 0, 0}},
+        {true, 0xfc73ace37006be14ULL, 0, 405, {45, 15, 0, 45, 1, 26}},
+        {true, 0x033cb0712ab4de80ULL, 9, 161, {128, 3, 0, 128, 0, 125}},
+        {false, 0xcbf29ce484222325ULL, 0, 0, {0, 0, 0, 0, 0, 0}},
+        {false, 0xcbf29ce484222325ULL, 0, 0, {0, 0, 0, 0, 0, 0}},
+    };
+    const std::vector<ChurnRecord> got = similar_churn_32x32();
+    ASSERT_EQ(got.size(), std::size(kRecord));
+    for (std::size_t i = 0; i < got.size(); ++i) {
+        const ChurnRecord& g = got[i];
+        const ChurnRecord& want = kRecord[i];
+        EXPECT_EQ(g.ok, want.ok) << "admission " << i;
+        EXPECT_EQ(g.assignment_hash, want.assignment_hash)
+            << "admission " << i;
+        EXPECT_EQ(g.ted, want.ted) << "admission " << i;
+        EXPECT_EQ(g.candidates_considered, want.candidates_considered)
+            << "admission " << i;
+        for (const auto& [name, field] : kFunnelFields)
+            EXPECT_EQ(g.funnel.*field, want.funnel.*field)
+                << "admission " << i << " funnel." << name;
+    }
+
+    // The record covers what the replay must reproduce: the sampled
+    // tail, TED-0 exits on the exact (certificate) and the approximate
+    // path, and memo hits.
+    bool sampled = false, exact_ted0 = false, approx_ted0 = false,
+         memo = false;
+    for (const ChurnRecord& r : kRecord) {
+        sampled = sampled || r.funnel.candidates > 64;
+        exact_ted0 = exact_ted0 || r.funnel.ted0_hits > 0;
+        approx_ted0 = approx_ted0 ||
+                      (r.ok && r.ted == 0.0 && r.funnel.ted0_hits == 0);
+        memo = memo || r.funnel.memo_hits > 0;
+    }
+    EXPECT_TRUE(sampled && exact_ted0 && approx_ted0 && memo);
 }
 
 TEST(MapperFunnelTest, CustomCostsDisableFunnelStages)
@@ -245,10 +422,8 @@ TEST(GedScorerTest, IntegerFastPathMatchesGenericPath)
     // replays the identical swap sequence, not merely an equivalent
     // optimum.
     Rng rng(46);
-    graph::GedOptions fast; // defaults: integer fast path eligible
-    graph::GedOptions generic;
-    generic.node_cost = [](int a, int b) { return a == b ? 0.0 : 1.0; };
-    generic.edge_del_cost = [](int, int) { return 1.0; };
+    const graph::GedOptions fast; // defaults: integer fast path eligible
+    const graph::GedOptions generic = generic_default_costs();
     for (int trial = 0; trial < 40; ++trial) {
         int n = 10 + static_cast<int>(rng.next_below(30)); // approx path
         graph::Graph a = random_graph(n, rng);
@@ -257,6 +432,71 @@ TEST(GedScorerTest, IntegerFastPathMatchesGenericPath)
         graph::GedResult rg = graph::approx_ged(a, b, generic);
         EXPECT_EQ(rf.cost, rg.cost) << "trial=" << trial << " n=" << n;
         EXPECT_EQ(rf.mapping, rg.mapping) << "trial=" << trial;
+    }
+
+    // Sparse pairs, as the mapper scores them: snake requests against
+    // connected subsets of a fragmented 32x32 mesh. Degrees are at most
+    // four, so most pairs fall outside the 2-opt gain sets and the skip
+    // decides most of the scan.
+    noc::MeshTopology topo(32, 32);
+    const graph::Graph& mesh = topo.to_graph();
+    const CoreSet free_cores = fragmented_1024(rng);
+    for (int n = 10; n <= 47; ++n) {
+        const graph::Graph req = TopologyMapper::snake_topology(n);
+        const auto subs =
+            graph::sample_connected_subsets(mesh, n, free_cores, 3, rng);
+        ASSERT_FALSE(subs.empty()) << "n=" << n;
+        for (const auto& mask : subs) {
+            const graph::Graph cand =
+                mesh.induced(graph::Graph::mask_to_nodes(mask));
+            graph::GedResult rf = graph::approx_ged(req, cand, fast);
+            graph::GedResult rg = graph::approx_ged(req, cand, generic);
+            EXPECT_EQ(rf.cost, rg.cost) << "n=" << n;
+            EXPECT_EQ(rf.mapping, rg.mapping) << "n=" << n;
+        }
+    }
+}
+
+TEST(GedScorerTest, ExactFastPathMatchesGenericPath)
+{
+    // The integer branch and bound must return the generic search's
+    // cost and mapping, or its {infinity, {}} sentinel, under every
+    // prune bound: unbounded, the optimum itself (cut), a value in the
+    // middle, and the smallest positive double (the TED-0 stage's).
+    Rng rng(47);
+    const graph::GedOptions generic = generic_default_costs();
+    noc::MeshTopology topo(32, 32);
+    const graph::Graph& mesh = topo.to_graph();
+    const CoreSet free_cores = fragmented_1024(rng);
+    auto check = [&](const graph::Graph& a, const graph::Graph& b) {
+        const double opt = graph::exact_ged(a, b, generic).cost;
+        for (double bound : {std::numeric_limits<double>::infinity(), opt,
+                             std::ceil(opt / 2),
+                             std::numeric_limits<double>::min()}) {
+            graph::GedOptions f;
+            f.cost_bound = bound;
+            graph::GedOptions g = generic;
+            g.cost_bound = bound;
+            graph::GedResult rf = graph::exact_ged(a, b, f);
+            graph::GedResult rg = graph::exact_ged(a, b, g);
+            EXPECT_EQ(rf.cost, rg.cost)
+                << "n=" << a.num_nodes() << " bound=" << bound;
+            EXPECT_EQ(rf.mapping, rg.mapping)
+                << "n=" << a.num_nodes() << " bound=" << bound;
+        }
+    };
+    for (int n = 2; n <= 9; ++n) {
+        for (int trial = 0; trial < 6; ++trial)
+            check(random_graph(n, rng, trial % 2 ? 2 : 1),
+                  random_graph(n, rng, trial % 2 ? 2 : 1));
+        const graph::Graph snake = TopologyMapper::snake_topology(n);
+        for (const auto& mask : graph::sample_connected_subsets(
+                 mesh, n, free_cores, 4, rng)) {
+            const graph::Graph cand =
+                mesh.induced(graph::Graph::mask_to_nodes(mask));
+            check(snake, cand);
+            check(random_graph(n, rng), cand);
+        }
     }
 }
 
