@@ -21,20 +21,22 @@ to_string(Opcode op)
 }
 
 Instr
-Instr::load_weight(Addr va, std::uint64_t bytes)
+Instr::load_weight(Addr va, std::uint64_t bytes, std::uint32_t chunk)
 {
     Instr i;
     i.op = Opcode::kLoadWeight;
+    i.chunk = chunk;
     i.va = va;
     i.bytes = bytes;
     return i;
 }
 
 Instr
-Instr::load_global(Addr va, std::uint64_t bytes)
+Instr::load_global(Addr va, std::uint64_t bytes, std::uint32_t chunk)
 {
     Instr i;
     i.op = Opcode::kLoadGlobal;
+    i.chunk = chunk;
     i.va = va;
     i.bytes = bytes;
     return i;
@@ -135,6 +137,8 @@ Instr::to_string() const
       case Opcode::kLoadGlobal:
       case Opcode::kStoreGlobal:
         os << " va=0x" << std::hex << va << std::dec << " bytes=" << bytes;
+        if (chunk != 0)
+            os << " chunk=" << chunk;
         break;
       case Opcode::kSend:
         os << " dst=" << peer << " bytes=" << bytes << " tag=" << tag;

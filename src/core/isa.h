@@ -7,6 +7,12 @@
  * program per core). Inter-core dataflow uses kSend/kRecv over the NoC;
  * the UVM baseline lowers the same edges to kStoreGlobal/kLoadGlobal
  * pairs through shared memory instead.
+ *
+ * A streamed load is one instruction: `chunk` > 0 tells the core to
+ * issue [va, va+bytes) as consecutive DMA transfers of at most `chunk`
+ * bytes, one per step, so each chunk keeps its own transfer, event and
+ * `instructions` count without its own slot in the program text
+ * (docs/sim_kernel.md, "Program text").
  */
 
 #ifndef VNPU_CORE_ISA_H
@@ -55,6 +61,8 @@ struct ComputeDims {
 /** One NPU instruction. */
 struct Instr {
     Opcode op = Opcode::kHalt;
+    /** DMA bytes per transfer; 0 issues `bytes` as one transfer. */
+    std::uint32_t chunk = 0;
     Addr va = 0;              ///< DMA virtual address.
     std::uint64_t bytes = 0;  ///< DMA / NoC payload size.
     CoreId peer = kInvalidCore; ///< kSend dst / kRecv src (core id).
@@ -62,8 +70,10 @@ struct Instr {
     ComputeDims dims;         ///< kCompute only.
 
     // ---- Factories ---------------------------------------------------
-    static Instr load_weight(Addr va, std::uint64_t bytes);
-    static Instr load_global(Addr va, std::uint64_t bytes);
+    static Instr load_weight(Addr va, std::uint64_t bytes,
+                             std::uint32_t chunk = 0);
+    static Instr load_global(Addr va, std::uint64_t bytes,
+                             std::uint32_t chunk = 0);
     static Instr store_global(Addr va, std::uint64_t bytes);
     static Instr matmul(std::int64_t m, std::int64_t k, std::int64_t n);
     static Instr conv(std::int64_t oh, std::int64_t ow, std::int64_t cin,
@@ -77,6 +87,10 @@ struct Instr {
     /** Debug rendering, e.g. "send dst=3 bytes=2048 tag=7". */
     std::string to_string() const;
 };
+
+// `chunk` sits in the padding after `op`: program text is the bulk of a
+// loaded workload's memory.
+static_assert(sizeof(Instr) == 112, "Instr must not grow");
 
 /** A per-core program. */
 using Program = std::vector<Instr>;

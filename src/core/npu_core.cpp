@@ -17,6 +17,7 @@ NpuCore::add_context(Program prog, const ContextConfig& ccfg)
 {
     auto ctx = std::make_unique<Context>();
     ctx->prog = std::move(prog);
+    ctx->prog.shrink_to_fit();
     ctx->cfg = ccfg;
     for (std::size_t i = 0; i < ctx->prog.size(); ++i)
         if (ctx->prog[i].op == Opcode::kRecv)
@@ -183,12 +184,24 @@ NpuCore::execute(Context& ctx, Tick now)
         dma_.set_bandwidth_cap(ctx.cfg.bw_cap);
         dma_.set_shared_cap(ctx.cfg.shared_cap);
         dma_.set_iteration(ctx.iteration);
+        // A chunked load issues one chunk per step, at va + dma_off; the
+        // pc moves on after the last. Every other DMA is one transfer.
+        const std::uint64_t bytes =
+            instr.chunk != 0
+                ? std::min<std::uint64_t>(instr.chunk,
+                                          instr.bytes - ctx.dma_off)
+                : instr.bytes;
+        const Addr va = instr.va + ctx.dma_off;
         Tick done = instr.op == Opcode::kStoreGlobal
-                        ? dma_.store(now, instr.va, instr.bytes, ctx.cfg.vm)
-                        : dma_.load(now, instr.va, instr.bytes, ctx.cfg.vm);
+                        ? dma_.store(now, va, bytes, ctx.cfg.vm)
+                        : dma_.load(now, va, bytes, ctx.cfg.vm);
         ctx.stats.busy_dma += done - now;
         busy_until_ = done;
-        ++ctx.pc;
+        ctx.dma_off += bytes;
+        if (ctx.dma_off == instr.bytes) {
+            ctx.dma_off = 0;
+            ++ctx.pc;
+        }
         ctx.resume_at = done;
         schedule_step(done);
         return;

@@ -97,7 +97,11 @@ class NpuCore {
     NpuCore(const NpuCore&) = delete;
     NpuCore& operator=(const NpuCore&) = delete;
 
-    /** Install a program as a new context; returns the context index. */
+    /**
+     * Install a program as a new context; returns the context index.
+     * The context owns the only copy: pass it with std::move. Its
+     * capacity is trimmed to its size.
+     */
     int add_context(Program prog, const ContextConfig& cfg);
 
     /** Arm all contexts to begin execution at `when`. */
@@ -142,6 +146,8 @@ class NpuCore {
     struct Context {
         Program prog;
         std::size_t pc = 0;
+        /** Bytes of the chunked load at pc already issued. */
+        std::uint64_t dma_off = 0;
         ContextConfig cfg;
         CtxState state = CtxState::kReady;
         Tick resume_at = 0;

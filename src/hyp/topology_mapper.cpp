@@ -36,25 +36,23 @@ graph::Graph
 TopologyMapper::snake_topology(int n)
 {
     VNPU_ASSERT(n > 0 && n <= kMaxCores);
-    int w = static_cast<int>(std::ceil(std::sqrt(static_cast<double>(n))));
+    const int w =
+        static_cast<int>(std::ceil(std::sqrt(static_cast<double>(n))));
 
-    // Grid cell of snake node i (boustrophedon rows).
-    auto cell = [&](int i) {
-        int r = i / w;
-        int c = i % w;
-        if (r % 2 == 1)
-            c = w - 1 - c;
-        return std::make_pair(c, r);
+    // Snake node at grid cell (c, r): boustrophedon rows.
+    auto node_at = [w](int c, int r) {
+        return r * w + (r % 2 == 1 ? w - 1 - c : c);
     };
 
+    // Link each node to its east and south cells when they hold nodes.
     graph::Graph g(n);
     for (int i = 0; i < n; ++i) {
-        auto [ci, ri] = cell(i);
-        for (int j = i + 1; j < n; ++j) {
-            auto [cj, rj] = cell(j);
-            if (std::abs(ci - cj) + std::abs(ri - rj) == 1)
-                g.add_edge(i, j);
-        }
+        const int r = i / w;
+        const int c = r % 2 == 1 ? w - 1 - i % w : i % w;
+        if (c + 1 < w && node_at(c + 1, r) < n)
+            g.add_edge(i, node_at(c + 1, r));
+        if (node_at(c, r + 1) < n)
+            g.add_edge(i, node_at(c, r + 1));
     }
     return g;
 }
@@ -829,27 +827,45 @@ TopologyMapper::map_straightforward(const MappingRequest& req,
 {
     const int k = req.vtopo.num_nodes();
     // The k lowest free ids (zig-zag over the mesh rows); map() checked
-    // that k cores are free.
-    std::vector<int> nodes;
-    nodes.reserve(k);
-    for (int c : free) {
-        nodes.push_back(c);
-        if (static_cast<int>(nodes.size()) == k)
-            break;
-    }
-
-    const graph::Graph sub = topo_.induced(nodes);
-    // Identity order: virtual core v sits on the v-th lowest free core.
-    std::vector<int> identity(k);
-    for (int v = 0; v < k; ++v)
-        identity[v] = v;
+    // that k cores are free. Virtual core v sits on the v-th of them.
     MappingResult res;
     res.ok = true;
-    res.assignment.resize(k);
-    for (int v = 0; v < k; ++v)
-        res.assignment[v] = nodes[v];
-    res.ted = graph::ged_mapping_cost(req.vtopo, sub, identity, req.ged);
     res.candidates_considered = 1;
+    res.assignment.reserve(k);
+    CoreSet chosen;
+    for (int c : free) {
+        res.assignment.push_back(c);
+        chosen.set(c);
+        if (static_cast<int>(res.assignment.size()) == k)
+            break;
+    }
+    const std::vector<CoreId>& nodes = res.assignment;
+
+    // Price the identity mapping on the mesh links among the chosen cores
+    // (mesh cores are labelled 0), in ged_mapping_cost's summation order:
+    // node costs, then each unmatched request edge (a < b ascending), then
+    // edge_ins_cost per unmatched link.
+    const graph::GedOptions& ged = req.ged;
+    const int links = (chosen & has_east_ & (chosen >> 1)).count() +
+                      (chosen & (chosen >> topo_.width())).count();
+    double cost = 0.0;
+    for (int v = 0; v < k; ++v) {
+        const int label = req.vtopo.label(v);
+        cost += ged.node_cost ? ged.node_cost(label, 0)
+                              : (label != 0 ? 1.0 : 0.0);
+    }
+    int matched = 0;
+    for (int a = 0; a < k; ++a) {
+        for (int b : req.vtopo.neighbors(a)) {
+            if (b <= a)
+                continue;
+            if (topo_.adjacent(nodes[a], nodes[b]))
+                ++matched;
+            else
+                cost += ged.edge_del_cost ? ged.edge_del_cost(a, b) : 1.0;
+        }
+    }
+    res.ted = cost + ged.edge_ins_cost * (links - matched);
     return res;
 }
 

@@ -12,18 +12,19 @@ using workload::Model;
 using workload::PipelinePlan;
 using workload::StageSlice;
 
-/** Emit chunked DMA loads covering [va, va+bytes). */
+/** Emit one load of [va, va+bytes) that the core issues in chunks. */
 void
 emit_chunked_load(core::Program& prog, core::Opcode op, Addr va,
-                  std::uint64_t bytes, std::uint64_t chunk)
+                  std::uint64_t bytes, std::uint64_t chunk_bytes)
 {
-    for (std::uint64_t off = 0; off < bytes; off += chunk) {
-        std::uint64_t sz = std::min(chunk, bytes - off);
-        if (op == core::Opcode::kLoadWeight)
-            prog.push_back(core::Instr::load_weight(va + off, sz));
-        else
-            prog.push_back(core::Instr::load_global(va + off, sz));
-    }
+    if (bytes == 0)
+        return;
+    const auto chunk =
+        static_cast<std::uint32_t>(std::min(chunk_bytes, bytes));
+    if (op == core::Opcode::kLoadWeight)
+        prog.push_back(core::Instr::load_weight(va, bytes, chunk));
+    else
+        prog.push_back(core::Instr::load_global(va, bytes, chunk));
 }
 
 } // namespace
@@ -35,6 +36,10 @@ compile_pipeline(const Model& model, const PipelinePlan& plan,
 {
     if (opt.iterations < 1)
         fatal("need at least one iteration");
+    if (opt.chunk_bytes == 0 || opt.chunk_bytes > UINT32_MAX) {
+        fatal("DMA chunk size must be in [1, ", UINT32_MAX, "] bytes, got ",
+              opt.chunk_bytes);
+    }
 
     const int n = plan.num_stages;
     CompiledWorkload out;

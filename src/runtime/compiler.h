@@ -34,7 +34,9 @@ struct CompileOptions {
     /** Reload weights from HBM every iteration (set when the stage's
      *  weights exceed the scratchpad weight-zone). */
     bool stream_weights = false;
-    /** DMA chunk granularity for weight/input streaming. */
+    /** DMA chunk granularity for weight/input streaming: each load
+     *  instruction carries it, and the core issues one transfer per
+     *  chunk. Must be in [1, UINT32_MAX]. */
     std::uint64_t chunk_bytes = 64 * 1024;
     /**
      * Latency-critical serving: at most one inference in flight. The

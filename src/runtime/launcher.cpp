@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <set>
+#include <utility>
 
 #include "sim/log.h"
 #include "workload/partitioner.h"
@@ -65,12 +66,13 @@ WorkloadLauncher::load_impl(const virt::VirtualNpu* vnpu,
         va_base = vnpu->range_table().entry(0).va;
         va_limit = vnpu->memory_bytes();
     }
-    run.compiled = compile_pipeline(model, plan, copt, va_base, va_limit);
+    CompiledWorkload compiled =
+        compile_pipeline(model, plan, copt, va_base, va_limit);
 
     // Bare metal (or vRouter disabled): peers are resolved statically.
     bool runtime_xlat = vnpu != nullptr && opt.use_vrouter;
     if (!runtime_xlat) {
-        for (core::Program& prog : run.compiled.programs) {
+        for (core::Program& prog : compiled.programs) {
             for (core::Instr& in : prog) {
                 if (in.op == core::Opcode::kSend ||
                     in.op == core::Opcode::kRecv) {
@@ -129,14 +131,14 @@ WorkloadLauncher::load_impl(const virt::VirtualNpu* vnpu,
         }
 
         // Scratchpad accounting for resident weights.
-        if (!stream && run.compiled.weight_bytes[v] > 0) {
+        if (!stream && compiled.weight_bytes[v] > 0) {
             machine_.scratchpad(pcore).alloc_weight(
                 model.name + ".stage" + std::to_string(v),
-                run.compiled.weight_bytes[v]);
+                compiled.weight_bytes[v]);
         }
 
         run.ctx_ids.push_back(machine_.core(pcore).add_context(
-            run.compiled.programs[v], ccfg));
+            std::move(compiled.programs[v]), ccfg));
     }
     return run;
 }

@@ -67,7 +67,6 @@ struct LoadedRun {
     const virt::VirtualNpu* vnpu = nullptr; ///< null for bare metal
     std::vector<CoreId> cores;      ///< physical core per virtual core
     std::vector<int> ctx_ids;       ///< context index per virtual core
-    CompiledWorkload compiled;
     LaunchOptions options;
     // Owned virtualization hooks (one per virtual core).
     std::vector<std::unique_ptr<virt::NocVRouter>> vrouters;
@@ -84,7 +83,8 @@ class WorkloadLauncher {
 
     /**
      * Compile `model` for `vnpu` and install one context per virtual
-     * core. Call Machine::run() afterwards (possibly after loading
+     * core; each context takes its program (the run keeps no copy).
+     * Call Machine::run() afterwards (possibly after loading
      * more workloads for other VMs), then collect().
      */
     LoadedRun load(const virt::VirtualNpu& vnpu,

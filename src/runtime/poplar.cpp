@@ -2,6 +2,7 @@
 
 #include <map>
 #include <set>
+#include <utility>
 
 #include "core/isa.h"
 #include "sim/log.h"
@@ -223,7 +224,8 @@ Engine::run(int iterations)
             }
         }
         CoreId pcore = phys_of(tile);
-        ctxs.emplace_back(pcore, m.core(pcore).add_context(prog, ccfg));
+        ctxs.emplace_back(pcore,
+                          m.core(pcore).add_context(std::move(prog), ccfg));
     }
 
     Tick end = m.run();

@@ -6,11 +6,17 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <utility>
+#include <vector>
+
 #include "core/compute.h"
 #include "core/controller.h"
 #include "core/isa.h"
+#include "mem/range_table.h"
 #include "runtime/machine.h"
 #include "sim/log.h"
+#include "virt/vchunk.h"
 
 namespace vnpu::core {
 namespace {
@@ -279,6 +285,112 @@ TEST(NpuCoreTest, DeadlockIsDetected)
     Program p{Instr::recv(1, 64, 0), Instr::halt()}; // nobody sends
     m.core(0).add_context(p, ContextConfig{});
     EXPECT_THROW(m.run(), SimPanic);
+}
+
+/** What a chunked-load scenario run leaves behind, per context. */
+struct DmaScenario {
+    std::vector<Tick> done;
+    std::vector<Cycles> busy_dma;
+    std::vector<std::uint64_t> instructions;
+    std::uint64_t transfers = 0;
+    std::uint64_t dma_stall = 0;
+    std::uint64_t tlb_stall = 0;
+};
+
+/**
+ * Two TDM contexts on core 0 (vm 1 and vm 2) and one on core 1 (vm 1),
+ * each behind its own vChunk with a one-entry range TLB over four
+ * 16 KiB ranges. Context A blocks on a message from core 1 between its
+ * loads, so B runs meanwhile. Each load is emitted as one chunked
+ * instruction, or hand-split into one load per chunk.
+ */
+DmaScenario
+run_dma_scenario(bool chunked)
+{
+    SocConfig cfg = small_cfg();
+    Machine m(cfg);
+    mem::RangeTable rtt;
+    for (Addr r = 0; r < 4; ++r)
+        rtt.add(0x10000 + r * 0x4000, 0x100000 * (r + 1), 0x4000,
+                mem::kPermRead | mem::kPermWrite);
+    rtt.finalize();
+    virt::VChunk va(cfg, rtt, 1), vb(cfg, rtt, 1), vc(cfg, rtt, 1);
+
+    auto load = [chunked](Program& p, Opcode op, Addr addr,
+                          std::uint64_t bytes, std::uint32_t chunk) {
+        auto make = [op](Addr a, std::uint64_t n, std::uint32_t c) {
+            return op == Opcode::kLoadWeight ? Instr::load_weight(a, n, c)
+                                             : Instr::load_global(a, n, c);
+        };
+        if (chunked) {
+            p.push_back(make(addr, bytes, chunk));
+            return;
+        }
+        for (std::uint64_t off = 0; off < bytes; off += chunk)
+            p.push_back(make(addr + off, std::min<std::uint64_t>(
+                                             chunk, bytes - off), 0));
+    };
+
+    Program a{Instr::iter_begin()};
+    load(a, Opcode::kLoadWeight, 0x10000, 10000, 4096); // remainder 1808
+    a.push_back(Instr::matmul(16, 16, 16));
+    load(a, Opcode::kLoadGlobal, 0x17000, 3000, 8192);  // chunk >= bytes
+    a.push_back(Instr::recv(1, 2048, 3));
+    load(a, Opcode::kLoadWeight, 0x1a000, 8192, 1024);
+    a.push_back(Instr::halt());
+
+    Program b{Instr::iter_begin()};
+    load(b, Opcode::kLoadGlobal, 0x12000, 12288, 5000); // 5000 5000 2288
+    b.push_back(Instr::store_global(0x10000, 256));
+    load(b, Opcode::kLoadWeight, 0x1c000, 16384, 4096);
+    b.push_back(Instr::halt());
+
+    Program c{Instr::iter_begin()};
+    load(c, Opcode::kLoadWeight, 0x10000, 20000, 4096);
+    c.push_back(Instr::send(0, 2048, 3));
+    c.push_back(Instr::halt());
+
+    ContextConfig ca{.vm = 1, .translator = va.translator()};
+    ContextConfig cb{.vm = 2, .translator = vb.translator()};
+    ContextConfig cc{.vm = 1, .translator = vc.translator()};
+    m.core(0).add_context(std::move(a), ca);
+    m.core(0).add_context(std::move(b), cb);
+    m.core(1).add_context(std::move(c), cc);
+    m.run();
+
+    DmaScenario out;
+    const std::pair<CoreId, int> contexts[] = {{0, 0}, {0, 1}, {1, 0}};
+    for (auto [core, ctx] : contexts) {
+        const ContextStats& st = m.core(core).context_stats(ctx);
+        EXPECT_TRUE(st.done);
+        out.done.push_back(st.done_tick);
+        out.busy_dma.push_back(st.busy_dma);
+        out.instructions.push_back(st.instructions);
+    }
+    for (CoreId core : {0, 1}) {
+        out.transfers += m.dma(core).stats().transfers.value();
+        out.dma_stall += m.dma(core).stats().translation_stall.value();
+    }
+    out.tlb_stall = va.tlb().stall_cycles() + vb.tlb().stall_cycles() +
+                    vc.tlb().stall_cycles();
+    return out;
+}
+
+TEST(NpuCoreTest, ChunkedLoadRunsAsHandSplitLoads)
+{
+    const DmaScenario split = run_dma_scenario(false);
+    const DmaScenario chunked = run_dma_scenario(true);
+    EXPECT_EQ(chunked.done, split.done);
+    EXPECT_EQ(chunked.busy_dma, split.busy_dma);
+    EXPECT_EQ(chunked.instructions, split.instructions);
+    EXPECT_EQ(chunked.transfers, split.transfers);
+    EXPECT_EQ(chunked.dma_stall, split.dma_stall);
+    EXPECT_EQ(chunked.tlb_stall, split.tlb_stall);
+    // One transfer per chunk: A 3+1+8, B 3+1+4, C 5.
+    EXPECT_EQ(chunked.transfers, 25u);
+    EXPECT_GT(chunked.tlb_stall, 0u);
+    // A: marker, 3 chunks, compute, 1, recv, 8 chunks, halt.
+    EXPECT_EQ(chunked.instructions[0], 16u);
 }
 
 // ---- Controller ---------------------------------------------------------------

@@ -5,7 +5,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstdlib>
 #include <set>
+#include <utility>
+#include <vector>
 
 #include "hyp/topology_mapper.h"
 #include "sim/log.h"
@@ -42,6 +46,29 @@ TEST(SnakeTopologyTest, ShapeAndConnectivity)
     // A perfect square is a full mesh.
     EXPECT_EQ(TopologyMapper::snake_topology(9).num_edges(),
               graph::Graph::mesh(3, 3).num_edges());
+}
+
+TEST(SnakeTopologyTest, MatchesPairScanReference)
+{
+    // Reference: place node i on its boustrophedon cell and link every
+    // pair of cells at Manhattan distance 1.
+    for (int n = 1; n <= kMaxCores; ++n) {
+        const int w =
+            static_cast<int>(std::ceil(std::sqrt(static_cast<double>(n))));
+        std::vector<std::pair<int, int>> cell(n);
+        for (int i = 0; i < n; ++i) {
+            const int r = i / w;
+            cell[i] = {r % 2 == 1 ? w - 1 - i % w : i % w, r};
+        }
+        graph::Graph ref(n);
+        for (int i = 0; i < n; ++i)
+            for (int j = i + 1; j < n; ++j)
+                if (std::abs(cell[i].first - cell[j].first) +
+                        std::abs(cell[i].second - cell[j].second) ==
+                    1)
+                    ref.add_edge(i, j);
+        ASSERT_TRUE(TopologyMapper::snake_topology(n) == ref) << "n=" << n;
+    }
 }
 
 TEST(MapperTest, ExactMappingOnEmptyMesh)
@@ -128,19 +155,37 @@ TEST(MapperTest, StraightforwardTedIsThatOfTheFullMeshInduced)
     for (int id = 0; id < topo.num_nodes(); ++id)
         if (rng.next_below(100) < 30)
             free.reset(id);
-    for (int k : {1, 5, 16, 40}) {
-        MappingRequest req;
-        req.vtopo = TopologyMapper::snake_topology(k);
-        req.strategy = MappingStrategy::kStraightforward;
-        MappingResult r = mapper.map(req, free);
-        ASSERT_TRUE(r.ok);
-        std::vector<int> identity(k);
-        for (int v = 0; v < k; ++v)
-            identity[v] = v;
-        EXPECT_EQ(r.ted, graph::ged_mapping_cost(req.vtopo,
-                                                 mesh.induced(r.assignment),
-                                                 identity, req.ged))
-            << k << " cores";
+    // Default costs, a labelled request, a non-unit insertion cost, a
+    // custom node cost, and a custom edge deletion cost.
+    for (int variant = 0; variant < 5; ++variant) {
+        for (int k : {1, 5, 16, 40}) {
+            MappingRequest req;
+            req.vtopo = TopologyMapper::snake_topology(k);
+            req.strategy = MappingStrategy::kStraightforward;
+            if (variant == 1 || variant == 3)
+                for (int v = 0; v < k; v += 3)
+                    req.vtopo.set_label(v, 1 + v % 2);
+            if (variant == 2)
+                req.ged.edge_ins_cost = 2.5;
+            if (variant == 3)
+                req.ged.node_cost = [](int a, int b) {
+                    return a == b ? 0.0 : 0.75;
+                };
+            if (variant == 4)
+                req.ged.edge_del_cost = [](int u, int v) {
+                    return 0.1 * (u + 1) + 0.01 * v;
+                };
+            MappingResult r = mapper.map(req, free);
+            ASSERT_TRUE(r.ok);
+            std::vector<int> identity(k);
+            for (int v = 0; v < k; ++v)
+                identity[v] = v;
+            EXPECT_EQ(r.ted,
+                      graph::ged_mapping_cost(req.vtopo,
+                                              mesh.induced(r.assignment),
+                                              identity, req.ged))
+                << k << " cores, variant " << variant;
+        }
     }
 }
 

@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <map>
 
 #include "hyp/hypervisor.h"
@@ -139,6 +141,47 @@ TEST(CompilerTest, VaBudgetEnforced)
     CompileOptions opt;
     EXPECT_THROW(compile_pipeline(m, plan, opt, 0x10000, 1 << 20),
                  SimFatal);
+}
+
+TEST(CompilerTest, ChunkedLoadIsOneInstruction)
+{
+    Model m = workload::resnet_block(16, 64);
+    workload::PipelinePlan plan = workload::make_pipeline_plan(m, 2);
+    CompileOptions opt;
+    opt.iterations = 2;
+    opt.stream_weights = true;
+    opt.chunk_bytes = 1024;
+    CompiledWorkload cw = compile_pipeline(m, plan, opt, 0x10000, 1ull << 30);
+    std::uint64_t largest = 0;
+    for (std::size_t v = 0; v < cw.programs.size(); ++v) {
+        int weight_loads = 0;
+        for (const core::Instr& in : cw.programs[v]) {
+            if (in.op != core::Opcode::kLoadWeight &&
+                in.op != core::Opcode::kLoadGlobal)
+                continue;
+            weight_loads += in.op == core::Opcode::kLoadWeight;
+            largest = std::max(largest, in.bytes);
+            EXPECT_EQ(in.chunk, std::min<std::uint64_t>(1024, in.bytes));
+        }
+        // One streamed weight load per iteration, whatever its size.
+        EXPECT_EQ(weight_loads, cw.weight_bytes[v] > 0 ? 2 : 0);
+    }
+    EXPECT_GT(largest, 1024u); // some load spans several chunks
+}
+
+TEST(CompilerTest, ChunkSizeOutOfRangeIsFatal)
+{
+    Model m = workload::resnet_block(16, 64);
+    workload::PipelinePlan plan = workload::make_pipeline_plan(m, 2);
+    CompileOptions opt;
+    opt.chunk_bytes = 0;
+    EXPECT_THROW(compile_pipeline(m, plan, opt, 0x10000, 1ull << 30),
+                 SimFatal);
+    opt.chunk_bytes = std::uint64_t{UINT32_MAX} + 1;
+    EXPECT_THROW(compile_pipeline(m, plan, opt, 0x10000, 1ull << 30),
+                 SimFatal);
+    opt.chunk_bytes = UINT32_MAX;
+    EXPECT_NO_THROW(compile_pipeline(m, plan, opt, 0x10000, 1ull << 30));
 }
 
 // ---- End-to-end launches ----------------------------------------------------------
