@@ -586,16 +586,17 @@ approx_core(const DenseGraph& dreq, const DenseGraph& dcand,
     return best;
 }
 
-/** Branch-and-bound minimum over bijections (shared by entry points). */
+/** Branch-and-bound minimum over bijections (shared by entry points),
+ *  pruned at `bound` (GedOptions::cost_bound semantics). */
 GedResult
 exact_core(const DenseGraph& dreq, const DenseGraph& dcand,
-           const GedOptions& opt)
+           const GedOptions& opt, double bound)
 {
     const int n = dreq.n;
     if (n <= 64 && default_costs(opt)) {
         ExactSearchInt search{dreq.bits.data(), dcand.bits.data(),
                               dreq.label.data(), dcand.label.data(), n,
-                              opt.cost_bound};
+                              bound};
         search.dfs(0, 0);
         if (!search.found)
             return {std::numeric_limits<double>::infinity(), {}};
@@ -609,7 +610,7 @@ exact_core(const DenseGraph& dreq, const DenseGraph& dcand,
                        std::vector<int>(n, -1),
                        std::vector<bool>(n, false),
                        {},
-                       opt.cost_bound};
+                       bound};
     search.dfs(0, 0.0);
     if (search.best_mapping.empty())
         return {std::numeric_limits<double>::infinity(), {}};
@@ -653,7 +654,7 @@ exact_ged(const Graph& req, const Graph& cand, const GedOptions& opt)
     if (req.num_nodes() == 0)
         return {0.0, {}};
     DenseGraph dreq(req), dcand(cand);
-    return exact_core(dreq, dcand, opt);
+    return exact_core(dreq, dcand, opt, opt.cost_bound);
 }
 
 GedResult
@@ -698,7 +699,8 @@ GedScorer::GedScorer(const Graph& req, const GedOptions& opt)
 GedScorer::~GedScorer() = default;
 
 GedResult
-GedScorer::score_subset(const Graph& host, const NodeMask& mask) const
+GedScorer::score_subset(const Graph& host, const NodeMask& mask,
+                        double bound) const
 {
     const Impl& im = *impl_;
     if (im.dreq.n == 0)
@@ -706,7 +708,8 @@ GedScorer::score_subset(const Graph& host, const NodeMask& mask) const
     DenseGraph dcand(host, mask);
     VNPU_ASSERT(dcand.n == im.dreq.n);
     if (im.dreq.n <= im.opt.exact_limit)
-        return exact_core(im.dreq, dcand, im.opt);
+        return exact_core(im.dreq, dcand, im.opt,
+                          std::min(im.opt.cost_bound, bound));
     return approx_core(im.dreq, dcand, im.opt, im.req_orders);
 }
 

@@ -110,12 +110,17 @@ GedResult ged(const Graph& req, const Graph& cand,
  * builds each candidate's dense form straight from a host-graph node
  * mask, skipping the `induced()` materialization.
  *
- * `score_subset(host, mask)` returns a result bit-identical to
- * `ged(req, host.induced(Graph::mask_to_nodes(mask)), opt)`: the
- * subset keeps ascending node order, so the candidate seen by the
- * search is the same graph, and the search itself is shared code.
- * Thread-safe for concurrent calls on one scorer (scratch is
- * thread-local; the shared request side is read-only).
+ * `score_subset(host, mask, bound)` returns a result bit-identical to
+ * `ged(req, host.induced(Graph::mask_to_nodes(mask)), o)`, where `o`
+ * is `opt` with `cost_bound` lowered to `min(opt.cost_bound, bound)`:
+ * the subset keeps ascending node order, so the candidate seen by the
+ * search is the same graph, and the search itself is shared code. The
+ * exact search (n <= `exact_limit`) therefore returns {infinity, {}}
+ * when no bijection costs less than the bound; `bound` =
+ * `numeric_limits<double>::min()` asks only for a zero-cost bijection.
+ * The approximate search ignores the bound, as `approx_ged` ignores
+ * `cost_bound`. Thread-safe for concurrent calls on one scorer
+ * (scratch is thread-local; the shared request side is read-only).
  */
 class GedScorer {
   public:
@@ -124,8 +129,9 @@ class GedScorer {
     GedScorer(const GedScorer&) = delete;
     GedScorer& operator=(const GedScorer&) = delete;
 
-    GedResult score_subset(const Graph& host,
-                           const NodeMask& mask) const;
+    GedResult score_subset(
+        const Graph& host, const NodeMask& mask,
+        double bound = std::numeric_limits<double>::infinity()) const;
 
   private:
     struct Impl;

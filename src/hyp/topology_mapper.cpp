@@ -371,11 +371,12 @@ struct CandidateScore {
      *  infinity marks a bound-independent result. */
     double bound_used = 0.0;
     bool from_memo = false;
-    bool ted0 = false; ///< resolved by the VF2 zero-TED certificate
+    bool ted0 = false; ///< resolved by the zero-bounded exact search
 };
 
 constexpr std::size_t kMemoCapacity = 4096; ///< entries; flushed when full
 constexpr std::size_t kScoreChunk = 16;     ///< candidates per pool batch
+constexpr double kInf = std::numeric_limits<double>::infinity();
 
 } // namespace
 
@@ -832,20 +833,26 @@ TopologyMapper::map_straightforward(const MappingRequest& req,
     res.ok = true;
     res.candidates_considered = 1;
     res.assignment.reserve(k);
-    CoreSet chosen;
     for (int c : free) {
         res.assignment.push_back(c);
-        chosen.set(c);
         if (static_cast<int>(res.assignment.size()) == k)
             break;
     }
-    const std::vector<CoreId>& nodes = res.assignment;
+    res.ted = assignment_ted(req, res.assignment);
+    return res;
+}
 
-    // Price the identity mapping on the mesh links among the chosen cores
-    // (mesh cores are labelled 0), in ged_mapping_cost's summation order:
-    // node costs, then each unmatched request edge (a < b ascending), then
+double
+TopologyMapper::assignment_ted(const MappingRequest& req,
+                               const std::vector<CoreId>& assignment) const
+{
+    // Price the mapping on the mesh links among the assigned cores (mesh
+    // cores are labelled 0), in ged_mapping_cost's summation order: node
+    // costs, then each unmatched request edge (a < b ascending), then
     // edge_ins_cost per unmatched link.
     const graph::GedOptions& ged = req.ged;
+    const int k = req.vtopo.num_nodes();
+    const CoreSet chosen = CoreSet::from_range(assignment);
     const int links = (chosen & has_east_ & (chosen >> 1)).count() +
                       (chosen & (chosen >> topo_.width())).count();
     double cost = 0.0;
@@ -859,14 +866,13 @@ TopologyMapper::map_straightforward(const MappingRequest& req,
         for (int b : req.vtopo.neighbors(a)) {
             if (b <= a)
                 continue;
-            if (topo_.adjacent(nodes[a], nodes[b]))
+            if (topo_.adjacent(assignment[a], assignment[b]))
                 ++matched;
             else
                 cost += ged.edge_del_cost ? ged.edge_del_cost(a, b) : 1.0;
         }
     }
-    res.ted = cost + ged.edge_ins_cost * (links - matched);
-    return res;
+    return cost + ged.edge_ins_cost * (links - matched);
 }
 
 MappingResult
@@ -893,7 +899,7 @@ TopologyMapper::map_similar(const MappingRequest& req, const CoreSet& free,
         col.enumerate_phase();
 
     MappingResult res;
-    double best = std::numeric_limits<double>::infinity();
+    double best = kInf;
     const graph::GedProfile req_profile = graph::ged_profile(req.vtopo);
     const std::uint64_t memo_req_hash =
         funnel ? request_struct_hash(req) : 0;
@@ -1026,68 +1032,32 @@ TopologyMapper::map_similar(const MappingRequest& req, const CoreSet& free,
                     static_cast<std::size_t>(runnable[ri]);
                 const std::size_t i = lo + s;
                 CandidateScore& out = slots[s];
+                // Thread the running best in as a prune bound: a result
+                // worse than `bound` could never win, so the exact search
+                // may abandon it early (the approximate one ignores it).
+                const double b = funnel ? bound : kInf;
                 graph::GedResult g;
-                if (k > req.ged.exact_limit) {
-                    // The hot path: approximate scoring through the
-                    // hoisted request-side state (== graph::ged on the
-                    // induced subgraph, bit for bit), precomputed by the
-                    // speculative run when the funnel is on.
-                    if (speculate) {
-                        g = std::move(spec_ged[i - spec_lo]);
-                    } else {
+                if (speculate) {
+                    g = std::move(spec_ged[i - spec_lo]);
+                } else {
+                    if (funnel && col.hashes[i] == req_hash) {
+                        // TED-0 stage: the zero-bounded exact search finds
+                        // the canonical (DFS-first) zero-cost mapping, if
+                        // one exists, without exploring any paid branch.
+                        VNPU_PROF("funnel.ted0_cert");
+                        g = scorer.score_subset(
+                            mesh, col.masks[i],
+                            std::numeric_limits<double>::min());
+                        out.ted0 = !g.mapping.empty();
+                    }
+                    if (!out.ted0) {
                         VNPU_PROF("funnel.full_ged");
-                        g = scorer.score_subset(mesh, col.masks[i]);
-                    }
-                    out.bound_used =
-                        std::numeric_limits<double>::infinity();
-                    out.kind = CandidateScore::Kind::kScored;
-                    out.cost = g.cost;
-                    out.mapping = std::move(g.mapping);
-                    return;
-                }
-                graph::Graph sub = mesh.induced(
-                    graph::Graph::mask_to_nodes(col.masks[i]));
-                graph::GedOptions opt = req.ged;
-                bool ran_full = true;
-                if (funnel && col.hashes[i] == req_hash) {
-                    // TED-0 stage: the VF2 engine certifies that a
-                    // zero-cost bijection exists, then the zero-bounded
-                    // exact search reproduces the canonical (DFS-first)
-                    // zero mapping without exploring any paid branch.
-                    VNPU_PROF("funnel.ted0_cert");
-                    graph::IsoOptions io;
-                    io.max_steps = 1u << 20;
-                    graph::IsoResult iso =
-                        graph::find_induced_isomorphism(
-                            req.vtopo, sub, CoreSet::first_n(k), io);
-                    if (iso.found) {
-                        opt.cost_bound =
-                            std::numeric_limits<double>::min();
-                        g = graph::exact_ged(req.vtopo, sub, opt);
-                        out.ted0 = true;
-                        out.bound_used =
-                            std::numeric_limits<double>::infinity();
-                        ran_full = false;
+                        g = scorer.score_subset(mesh, col.masks[i], b);
                     }
                 }
-                if (ran_full) {
-                    VNPU_PROF("funnel.full_ged");
-                    if (funnel) {
-                        // Thread the running best in as a prune bound:
-                        // a result worse than `bound` could never win,
-                        // so the search may abandon it early.
-                        opt.cost_bound = std::min(opt.cost_bound, bound);
-                        g = graph::exact_ged(req.vtopo, sub, opt);
-                        out.bound_used =
-                            g.mapping.empty()
-                                ? opt.cost_bound
-                                : std::numeric_limits<double>::infinity();
-                    } else {
-                        g = graph::ged(req.vtopo, sub, req.ged);
-                        out.bound_used =
-                            std::numeric_limits<double>::infinity();
-                    }
-                }
+                out.bound_used = g.mapping.empty()
+                                     ? std::min(req.ged.cost_bound, b)
+                                     : kInf;
                 out.kind = CandidateScore::Kind::kScored;
                 out.cost = g.cost;
                 out.mapping = std::move(g.mapping);
@@ -1162,17 +1132,7 @@ TopologyMapper::map_similar(const MappingRequest& req, const CoreSet& free,
         // edge otherwise lands on an arbitrary multi-hop path).
         refine_wirelength(req.vtopo, res.assignment);
         // Re-derive the TED of the refined correspondence for reports.
-        std::vector<int> nodes(res.assignment);
-        std::sort(nodes.begin(), nodes.end());
-        std::vector<int> mapping(k);
-        for (int v = 0; v < k; ++v) {
-            mapping[v] = static_cast<int>(
-                std::lower_bound(nodes.begin(), nodes.end(),
-                                 res.assignment[v]) -
-                nodes.begin());
-        }
-        res.ted = graph::ged_mapping_cost(req.vtopo, mesh.induced(nodes),
-                                          mapping, req.ged);
+        res.ted = assignment_ted(req, res.assignment);
         return res;
     }
 
@@ -1217,11 +1177,11 @@ TopologyMapper::map_similar(const MappingRequest& req, const CoreSet& free,
     graph::Graph sub = mesh.induced(chosen);
     graph::GedResult g = graph::approx_ged(req.vtopo, sub, req.ged);
     res.ok = true;
-    res.ted = g.cost;
     res.assignment.assign(k, kInvalidCore);
     for (int v = 0; v < k; ++v)
         res.assignment[v] = chosen[g.mapping[v]];
     refine_wirelength(req.vtopo, res.assignment);
+    res.ted = assignment_ted(req, res.assignment);
     return res;
 }
 

@@ -105,7 +105,7 @@ struct FunnelCounters {
     std::uint64_t lb_pruned = 0;   ///< Discarded by the GED lower bound.
     std::uint64_t memo_hits = 0;   ///< Scores reused from the memo.
     std::uint64_t memo_misses = 0; ///< Memo probes that missed.
-    std::uint64_t ted0_hits = 0;   ///< VF2 zero-TED short-circuits.
+    std::uint64_t ted0_hits = 0;   ///< Zero-bounded exact-search hits.
     std::uint64_t full_ged = 0;    ///< Full exact/approx GED runs.
 };
 
@@ -186,6 +186,12 @@ class TopologyMapper {
                                       const CoreSet& free) const;
     MappingResult map_similar(const MappingRequest& req, const CoreSet& free,
                               bool allow_fragmented) const;
+
+    /** TED of `assignment` (virtual core v on physical core
+     *  assignment[v]) against the mesh links among its cores; equals
+     *  `ged_mapping_cost` on the induced region, bit for bit. */
+    double assignment_ted(const MappingRequest& req,
+                          const std::vector<CoreId>& assignment) const;
 
     /** 2-opt swaps of the assignment minimizing wirelength. */
     void refine_wirelength(const graph::Graph& vtopo,

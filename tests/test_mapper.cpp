@@ -147,6 +147,9 @@ TEST(MapperTest, StraightforwardTakesLowestIds)
 
 TEST(MapperTest, StraightforwardTedIsThatOfTheFullMeshInduced)
 {
+    // Every strategy that reports a TED must report that of the
+    // assignment it returns, including after the wirelength refinement
+    // has moved it.
     noc::MeshTopology topo(12, 10);
     TopologyMapper mapper(topo);
     const graph::Graph mesh = topo.to_graph();
@@ -155,36 +158,62 @@ TEST(MapperTest, StraightforwardTedIsThatOfTheFullMeshInduced)
     for (int id = 0; id < topo.num_nodes(); ++id)
         if (rng.next_below(100) < 30)
             free.reset(id);
+    // Islands: a checkerboard plus a few cores of the other colour,
+    // which join their neighbours into small islands with adjacent
+    // cores. No connected region holds 16 cores, so the fragmented
+    // strategy packs disconnected cores and refines that packing.
+    CoreSet islands;
+    for (int id = 0; id < topo.num_nodes(); ++id)
+        if ((topo.x_of(id) + topo.y_of(id)) % 2 == 0 ||
+            rng.next_below(100) < 12)
+            islands.set(id);
+    for (CoreSet rest = islands; rest.any();) {
+        const CoreSet island = mesh.component_of(rest.lowest(), rest);
+        ASSERT_LT(island.count(), 16);
+        rest = rest.andnot(island);
+    }
+    const struct {
+        MappingStrategy strategy;
+        CoreSet free;
+        std::vector<int> ks;
+    } cases[] = {
+        {MappingStrategy::kStraightforward, free, {1, 5, 16, 40}},
+        {MappingStrategy::kSimilarTopology, free, {1, 5, 16}},
+        {MappingStrategy::kFragmented, islands, {16, 24, 40}},
+    };
     // Default costs, a labelled request, a non-unit insertion cost, a
     // custom node cost, and a custom edge deletion cost.
-    for (int variant = 0; variant < 5; ++variant) {
-        for (int k : {1, 5, 16, 40}) {
-            MappingRequest req;
-            req.vtopo = TopologyMapper::snake_topology(k);
-            req.strategy = MappingStrategy::kStraightforward;
-            if (variant == 1 || variant == 3)
-                for (int v = 0; v < k; v += 3)
-                    req.vtopo.set_label(v, 1 + v % 2);
-            if (variant == 2)
-                req.ged.edge_ins_cost = 2.5;
-            if (variant == 3)
-                req.ged.node_cost = [](int a, int b) {
-                    return a == b ? 0.0 : 0.75;
-                };
-            if (variant == 4)
-                req.ged.edge_del_cost = [](int u, int v) {
-                    return 0.1 * (u + 1) + 0.01 * v;
-                };
-            MappingResult r = mapper.map(req, free);
-            ASSERT_TRUE(r.ok);
-            std::vector<int> identity(k);
-            for (int v = 0; v < k; ++v)
-                identity[v] = v;
-            EXPECT_EQ(r.ted,
-                      graph::ged_mapping_cost(req.vtopo,
-                                              mesh.induced(r.assignment),
-                                              identity, req.ged))
-                << k << " cores, variant " << variant;
+    for (const auto& c : cases) {
+        for (int variant = 0; variant < 5; ++variant) {
+            for (int k : c.ks) {
+                MappingRequest req;
+                req.vtopo = TopologyMapper::snake_topology(k);
+                req.strategy = c.strategy;
+                if (variant == 1 || variant == 3)
+                    for (int v = 0; v < k; v += 3)
+                        req.vtopo.set_label(v, 1 + v % 2);
+                if (variant == 2)
+                    req.ged.edge_ins_cost = 2.5;
+                if (variant == 3)
+                    req.ged.node_cost = [](int a, int b) {
+                        return a == b ? 0.0 : 0.75;
+                    };
+                if (variant == 4)
+                    req.ged.edge_del_cost = [](int u, int v) {
+                        return 0.1 * (u + 1) + 0.01 * v;
+                    };
+                MappingResult r = mapper.map(req, c.free);
+                ASSERT_TRUE(r.ok);
+                std::vector<int> identity(k);
+                for (int v = 0; v < k; ++v)
+                    identity[v] = v;
+                EXPECT_EQ(r.ted,
+                          graph::ged_mapping_cost(req.vtopo,
+                                                  mesh.induced(r.assignment),
+                                                  identity, req.ged))
+                    << to_string(c.strategy) << ", " << k
+                    << " cores, variant " << variant;
+            }
         }
     }
 }

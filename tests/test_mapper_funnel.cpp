@@ -405,11 +405,31 @@ TEST(GedScorerTest, SubsetScoresMatchPlainGed)
             mesh, k, CoreSet::first_n(64), 24, rng);
         ASSERT_FALSE(subs.empty());
         for (const auto& mask : subs) {
+            const graph::Graph cand =
+                mesh.induced(graph::Graph::mask_to_nodes(mask));
             graph::GedResult via_scorer = scorer.score_subset(mesh, mask);
-            graph::GedResult via_ged = graph::ged(
-                req, mesh.induced(graph::Graph::mask_to_nodes(mask)), opt);
+            graph::GedResult via_ged = graph::ged(req, cand, opt);
             EXPECT_EQ(via_scorer.cost, via_ged.cost);
             EXPECT_EQ(via_scorer.mapping, via_ged.mapping);
+            if (k > opt.exact_limit)
+                continue;
+            // A bounded score is the exact search under that cost
+            // bound: the same cost and mapping, or {infinity, {}}.
+            const double best = via_ged.cost;
+            for (double bound : {std::numeric_limits<double>::infinity(),
+                                 best, std::ceil(best / 2),
+                                 std::numeric_limits<double>::min()}) {
+                graph::GedOptions bounded = opt;
+                bounded.cost_bound = bound;
+                graph::GedResult got =
+                    scorer.score_subset(mesh, mask, bound);
+                graph::GedResult want =
+                    graph::exact_ged(req, cand, bounded);
+                EXPECT_EQ(got.cost, want.cost)
+                    << "k=" << k << " bound=" << bound;
+                EXPECT_EQ(got.mapping, want.mapping)
+                    << "k=" << k << " bound=" << bound;
+            }
         }
     }
 }
