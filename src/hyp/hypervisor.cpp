@@ -186,10 +186,12 @@ request_for(const VnpuSpec& spec)
         fatal("spec.num_cores (", spec.num_cores,
               ") contradicts spec.topo size (", spec.topo->num_nodes(), ")");
     }
+    if (!spec.topo && (spec.num_cores <= 0 || spec.num_cores > kMaxCores))
+        fatal("spec.num_cores (", spec.num_cores, ") must be in [1, ",
+              kMaxCores, "] when no topo is given");
     MappingRequest req;
-    req.vtopo = spec.topo ? *spec.topo
-                          : TopologyMapper::snake_topology(
-                                spec.num_cores > 0 ? spec.num_cores : 1);
+    req.vtopo =
+        spec.topo ? *spec.topo : TopologyMapper::snake_topology(spec.num_cores);
     req.strategy = spec.strategy;
     req.require_connected = spec.noc_isolation;
     req.max_candidates = spec.max_candidates;

@@ -26,7 +26,7 @@ namespace vnpu::hyp {
 
 /** What the user asks for when creating a VM's virtual NPU. */
 struct VnpuSpec {
-    /** Core count; ignored when `topo` is given. */
+    /** Core count in [1, kMaxCores]; ignored when `topo` is given. */
     int num_cores = 0;
     /** Requested virtual topology; default: snake mesh of num_cores. */
     std::optional<graph::Graph> topo;
@@ -63,7 +63,8 @@ struct HypervisorStats {
  * requires a connected region. An exact request also carries its
  * recognised `grid_width`, so the mapper need not re-recognise the
  * grid on every probe.
- * @throws SimFatal when `num_cores` contradicts the size of `topo`.
+ * @throws SimFatal when `num_cores` contradicts the size of `topo`, or
+ *         is outside [1, kMaxCores] with no `topo`.
  */
 MappingRequest request_for(const VnpuSpec& spec);
 

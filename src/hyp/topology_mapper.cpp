@@ -245,7 +245,7 @@ struct CandidateCollector {
             return more;
         };
         // Exact enumeration while cheap; otherwise deterministic
-        // sampling (deferred to sample_phase).
+        // sampling (deferred to draw_samples).
         std::uint64_t space = graph::binomial(free.count(), k);
         if (space <= 200000) {
             graph::enumerate_connected_subsets(mesh, k, free, cb,
@@ -258,38 +258,37 @@ struct CandidateCollector {
         consume(pending, cap);
     }
 
-    /** The sampler's draws; a pure function of (k, free). */
-    std::vector<graph::NodeMask>
-    draw_samples() const
-    {
-        VNPU_PROF("funnel.sample");
-        const int k = req.vtopo.num_nodes();
-        Rng rng(0x5eed + static_cast<std::uint64_t>(k));
-        return graph::sample_connected_subsets(
-            mesh, k, free, static_cast<int>(req.max_candidates) * 4, rng);
-    }
-
-    /** Sampled candidates join after the enumerated ones, up to twice
-     *  the enumeration cap. */
-    std::size_t sample_cap() const { return req.max_candidates * 2; }
-
+    /** The sampler's draws and their WL hashes, hashed on the pool (or
+     *  inline inside a pool job); a pure function of (k, free). */
     void
-    sample_phase()
+    draw_samples(std::vector<graph::NodeMask>& draws,
+                 std::vector<std::uint64_t>& draw_hashes) const
     {
-        sampling_pending = false;
-        if (masks.size() < sample_cap())
-            consume(draw_samples(), sample_cap());
+        {
+            VNPU_PROF("funnel.sample");
+            const int k = req.vtopo.num_nodes();
+            Rng rng(0x5eed + static_cast<std::uint64_t>(k));
+            draws = graph::sample_connected_subsets(
+                mesh, k, free, static_cast<int>(req.max_candidates) * 4,
+                rng);
+        }
+        draw_hashes.resize(draws.size());
+        TaskPool::instance().parallel_for(
+            0, static_cast<int>(draws.size()), [&](int d) {
+                VNPU_PROF("funnel.wl_hash");
+                draw_hashes[d] = mesh.wl_hash_subset(draws[d]);
+            });
     }
 
-    /** sample_phase() with the draws and their hashes already made. */
+    /** Sampled candidates join after the enumerated ones (at most
+     *  `max_candidates`), up to twice the enumeration cap. */
     void
     absorb_samples(const std::vector<graph::NodeMask>& draws,
                    const std::vector<std::uint64_t>& draw_hashes)
     {
         sampling_pending = false;
-        if (masks.size() < sample_cap())
-            absorb(draws.data(), draw_hashes.data(), draws.size(),
-                   sample_cap());
+        absorb(draws.data(), draw_hashes.data(), draws.size(),
+               req.max_candidates * 2);
     }
 };
 
@@ -361,17 +360,14 @@ subset_profile(const graph::Graph& mesh, const graph::NodeMask& m)
     return p;
 }
 
-/** Per-candidate scoring outcome (one slot per chunk entry). */
-struct CandidateScore {
-    enum class Kind : std::uint8_t { kPruned, kScored };
-    Kind kind = Kind::kPruned;
-    double cost = 0.0;
-    std::vector<int> mapping;
-    /** Prune bound the score was computed under (memo bookkeeping);
-     *  infinity marks a bound-independent result. */
-    double bound_used = 0.0;
-    bool from_memo = false;
+/** One candidate of a scoring run: the run job writes `lb`, `ted0` and
+ *  `g`; the replay sets `pruned`, or `from_memo` with the memo's `g`. */
+struct Slot {
+    double lb = 0.0;
     bool ted0 = false; ///< resolved by the zero-bounded exact search
+    bool pruned = false;
+    bool from_memo = false;
+    graph::GedResult g;
 };
 
 constexpr std::size_t kMemoCapacity = 4096; ///< entries; flushed when full
@@ -880,6 +876,11 @@ TopologyMapper::map_similar(const MappingRequest& req, const CoreSet& free,
                             bool allow_fragmented) const
 {
     const int k = req.vtopo.num_nodes();
+    if (req.max_candidates == 0 ||
+        req.max_candidates >
+            static_cast<std::uint64_t>(std::numeric_limits<int>::max() / 4))
+        fatal("max_candidates (", req.max_candidates, ") must be in [1, ",
+              std::numeric_limits<int>::max() / 4, "]");
     const graph::Graph mesh = topo_.to_graph();
     std::uint64_t req_hash = req.vtopo.wl_hash();
 
@@ -887,9 +888,9 @@ TopologyMapper::map_similar(const MappingRequest& req, const CoreSet& free,
     // std::function can be neither admissibly lower-bounded, hashed
     // into a memo key, nor assumed non-negative (the exact-search
     // prune bound relies on non-negative increments).
-    const bool funnel = req.funnel && !req.ged.node_cost &&
-                        !req.ged.edge_del_cost &&
+    const bool funnel = !req.ged.node_cost && !req.ged.edge_del_cost &&
                         req.ged.edge_ins_cost >= 0.0;
+    const bool exact = k <= req.ged.exact_limit;
 
     CandidateCollector col(req, free, mesh);
     // Component bound: a free set whose largest connected component is
@@ -907,31 +908,41 @@ TopologyMapper::map_similar(const MappingRequest& req, const CoreSet& free,
     // of the per-candidate loop; scoring through it is bit-identical to
     // graph::ged against the induced candidate subgraph.
     const graph::GedScorer scorer(req.vtopo, req.ged);
-    auto candidate_lb = [&](std::size_t i) {
-        VNPU_PROF("funnel.lb_prune");
-        return graph::ged_lower_bound(
-            req_profile, subset_profile(mesh, col.masks[i]), req.ged);
+
+    // The memo entry that serves candidate i under `bound`: a completed
+    // search (`cost < bound_used`) or one at least as strict.
+    auto memo_entry = [&](std::size_t i, double bound) -> const MemoEntry* {
+        VNPU_PROF("funnel.memo_probe");
+        auto it = memo_.find(MemoKey{memo_req_hash, col.masks[i]});
+        return it != memo_.end() && (it->second.cost < it->second.bound_used ||
+                                     bound <= it->second.bound_used)
+                   ? &it->second
+                   : nullptr;
     };
 
-    // Approximate path: a candidate's score ignores the prune bound and
-    // its lower bound is a function of the mask alone, so one pool job
-    // computes both for a whole run of candidates [spec_lo, spec_hi)
-    // ahead of the chunked replay below, which discards the slots it
-    // prunes or serves from the memo. The run ends with the chunk
-    // holding the next request-hash-equal candidate, the only place the
-    // TED-0 exit can fire. A run that reaches the end of the enumerated
-    // phase with none left also draws the sampler's candidates (one
-    // more slot), which the scan then cannot skip.
-    const bool speculate = funnel && k > req.ged.exact_limit;
-    std::size_t spec_lo = 0, spec_hi = 0;
-    std::vector<double> spec_lb;
-    std::vector<graph::GedResult> spec_ged;
-    std::vector<graph::NodeMask> early_draws;
-    std::vector<std::uint64_t> early_hashes;
-    bool early_sampled = false;
-    auto speculate_from = [&](std::size_t phase_lo, std::size_t lo) {
-        // vnpu-lint: hot-path (funnel scoring; per-run slot vectors are
-        // the only allowed growth, suppressed per line)
+    // One job scores a run of candidates [run_lo, run_hi) under
+    // `run_bound`, the best cost when the run starts, ahead of the
+    // chunked replay below. Every chunk bound of the run is at most
+    // `run_bound`, so a slot whose lower bound exceeds it is pruned by
+    // the replay too and is not scored. A slot the memo serves is not
+    // scored on the exact path; elsewhere the replay discards its
+    // score (a memo flush mid-run could turn the hit into a miss). An
+    // approximate run ends with the chunk holding the next
+    // request-hash-equal candidate, the only place the TED-0 exit can
+    // fire (the approximate search ignores the bound); an exact run is
+    // one chunk, so its bound is that chunk's. A run that reaches the
+    // end of the enumerated phase with no hash-equal candidate left
+    // also draws the sampler's candidates (one more slot), which the
+    // scan then cannot skip.
+    std::vector<Slot> slots;
+    std::size_t run_lo = 0, run_hi = 0;
+    double run_bound = kInf;
+    std::vector<graph::NodeMask> draws;
+    std::vector<std::uint64_t> draw_hashes;
+    bool sampled = false;
+    auto run_from = [&](std::size_t phase_lo, std::size_t lo) {
+        // vnpu-lint: hot-path (funnel scoring; the per-run slot vectors
+        // are the only allowed growth, suppressed per line)
         std::size_t hi = col.masks.size();
         bool equal_ahead = false;
         for (std::size_t i = lo; i < hi && !equal_ahead; ++i) {
@@ -941,145 +952,102 @@ TopologyMapper::map_similar(const MappingRequest& req, const CoreSet& free,
                 hi = std::min(hi, phase_lo + (chunk + 1) * kScoreChunk);
             }
         }
-        const bool sampler_slot =
-            col.sampling_pending && !early_sampled && !equal_ahead;
+        if (exact)
+            hi = std::min(hi, lo + kScoreChunk);
+        const bool sampler_slot = col.sampling_pending && !sampled &&
+                                  !equal_ahead && hi == col.masks.size();
         const int extra = sampler_slot ? 1 : 0;
-        spec_lo = lo;
-        spec_hi = hi;
+        run_lo = lo;
+        run_hi = hi;
+        run_bound = funnel ? best : kInf;
+        slots.clear();
         // vnpu-lint: allow-next-line(hot-path-alloc) per-run slots
-        spec_lb.resize(hi - lo);
-        // vnpu-lint: allow-next-line(hot-path-alloc) per-run slots
-        spec_ged.resize(hi - lo);
-        TaskPool::instance().parallel_for(
-            0, static_cast<int>(hi - lo) + extra, [&](int j) {
-                if (j < extra) { // the sampler slot starts first
-                    early_draws = col.draw_samples();
-                    VNPU_PROF("funnel.wl_hash");
-                    // vnpu-lint: allow-next-line(hot-path-alloc) per-phase
-                    early_hashes.resize(early_draws.size());
-                    for (std::size_t d = 0; d < early_draws.size(); ++d)
-                        early_hashes[d] = mesh.wl_hash_subset(early_draws[d]);
+        slots.resize(hi - lo);
+        auto job = [&](int j) {
+            if (j < extra) { // the sampler slot starts first
+                col.draw_samples(draws, draw_hashes);
+                return;
+            }
+            const std::size_t i = lo + static_cast<std::size_t>(j - extra);
+            Slot& out = slots[i - lo];
+            if (funnel) {
+                // An exact run is one chunk: the memo cannot change
+                // before the replay probes it under the same bound.
+                if (exact && memo_entry(i, run_bound))
                     return;
+                {
+                    VNPU_PROF("funnel.lb_prune");
+                    out.lb = graph::ged_lower_bound(
+                        req_profile, subset_profile(mesh, col.masks[i]),
+                        req.ged);
                 }
-                const std::size_t i = lo + static_cast<std::size_t>(j - extra);
-                spec_lb[i - lo] = candidate_lb(i);
+                if (out.lb > run_bound)
+                    return;
+            }
+            if (exact && funnel && col.hashes[i] == req_hash) {
+                // TED-0 stage: the zero-bounded exact search finds the
+                // canonical (DFS-first) zero-cost mapping, if one
+                // exists, without exploring any paid branch.
+                VNPU_PROF("funnel.ted0_cert");
+                out.g = scorer.score_subset(
+                    mesh, col.masks[i], std::numeric_limits<double>::min());
+                out.ted0 = !out.g.mapping.empty();
+            }
+            if (!out.ted0) {
                 VNPU_PROF("funnel.full_ged");
-                spec_ged[i - lo] = scorer.score_subset(mesh, col.masks[i]);
-            });
-        early_sampled = early_sampled || sampler_slot;
+                out.g = scorer.score_subset(mesh, col.masks[i], run_bound);
+            }
+        };
+        const int n = static_cast<int>(hi - lo) + extra;
+        if (funnel) {
+            TaskPool::instance().parallel_for(0, n, job);
+        } else {
+            // Custom cost callbacks may not be thread-safe.
+            for (int j = 0; j < n; ++j)
+                job(j);
+        }
+        sampled = sampled || sampler_slot;
     };
 
-    // Staged scorer over col.masks[phase_lo..): chunked so the prune
-    // bound refreshes between pool batches; returns true on the TED-0
-    // early exit. Reduction is sequential in candidate index order, so
-    // the decision is bit-identical to the legacy one-candidate-at-a-time
-    // loop (and to any worker count).
+    // Chunked replay over col.masks[phase_lo..): the prune bound is
+    // frozen per chunk of kScoreChunk, and the reduction runs in
+    // candidate index order, so the decision is bit-identical to the
+    // legacy one-candidate-at-a-time loop (and to any worker count).
+    // Returns true on the TED-0 early exit.
     auto score_range = [&](std::size_t phase_lo) -> bool {
-        // vnpu-lint: hot-path (funnel scoring; per-chunk bookkeeping
-        // vectors are the only allowed growth, suppressed per line)
-        std::size_t lo = phase_lo;
-        while (lo < col.masks.size()) {
+        for (std::size_t lo = phase_lo; lo < col.masks.size();
+             lo += kScoreChunk) {
             const std::size_t hi =
                 std::min(col.masks.size(), lo + kScoreChunk);
-            const std::size_t n_slots = hi - lo;
             const double bound = best; // frozen for this chunk
-            std::vector<CandidateScore> slots(n_slots);
-            std::vector<int> runnable; // slots needing a GED run
-            if (speculate && lo >= spec_hi)
-                speculate_from(phase_lo, lo);
+            if (lo >= run_hi)
+                run_from(phase_lo, lo);
 
-            // Stages 2+3 (sequential pre-pass): memo probe, then the
-            // admissible lower bound against the chunk bound.
-            for (std::size_t s = 0; s < n_slots; ++s) {
-                const std::size_t i = lo + s;
+            // Stages 2+3, over the whole chunk before the reduction:
+            // memo probe, then the admissible lower bound.
+            for (std::size_t i = lo; i < hi; ++i) {
+                Slot& sc = slots[i - run_lo];
                 ++res.funnel.candidates;
-                if (!funnel) {
-                    // vnpu-lint: allow-next-line(hot-path-alloc) per-chunk
-                    runnable.push_back(static_cast<int>(s));
+                if (!funnel)
                     continue;
-                }
-                {
-                    VNPU_PROF("funnel.memo_probe");
-                    auto it =
-                        memo_.find(MemoKey{memo_req_hash, col.masks[i]});
-                    if (it != memo_.end() &&
-                        (it->second.cost < it->second.bound_used ||
-                         bound <= it->second.bound_used)) {
-                        ++res.funnel.memo_hits;
-                        slots[s].kind = CandidateScore::Kind::kScored;
-                        slots[s].cost = it->second.cost;
-                        slots[s].mapping = it->second.mapping;
-                        slots[s].from_memo = true;
-                        continue;
-                    }
+                if (const MemoEntry* e = memo_entry(i, bound)) {
+                    ++res.funnel.memo_hits;
+                    sc.from_memo = true;
+                    sc.g.cost = e->cost;
+                    sc.g.mapping = e->mapping;
+                    continue;
                 }
                 ++res.funnel.memo_misses;
-                const double lb =
-                    speculate ? spec_lb[i - spec_lo] : candidate_lb(i);
-                if (lb > bound) {
-                    ++res.funnel.lb_pruned; // cost >= lb > any later best
-                    continue;
-                }
-                // vnpu-lint: allow-next-line(hot-path-alloc) per-chunk
-                runnable.push_back(static_cast<int>(s));
-            }
-
-            // Stages 1+4: score surviving candidates. Each slot is a
-            // pure function of (request, mesh, mask, bound) writing its
-            // own result, so the pool introduces no nondeterminism.
-            auto run_one = [&](int ri) {
-                const std::size_t s =
-                    static_cast<std::size_t>(runnable[ri]);
-                const std::size_t i = lo + s;
-                CandidateScore& out = slots[s];
-                // Thread the running best in as a prune bound: a result
-                // worse than `bound` could never win, so the exact search
-                // may abandon it early (the approximate one ignores it).
-                const double b = funnel ? bound : kInf;
-                graph::GedResult g;
-                if (speculate) {
-                    g = std::move(spec_ged[i - spec_lo]);
-                } else {
-                    if (funnel && col.hashes[i] == req_hash) {
-                        // TED-0 stage: the zero-bounded exact search finds
-                        // the canonical (DFS-first) zero-cost mapping, if
-                        // one exists, without exploring any paid branch.
-                        VNPU_PROF("funnel.ted0_cert");
-                        g = scorer.score_subset(
-                            mesh, col.masks[i],
-                            std::numeric_limits<double>::min());
-                        out.ted0 = !g.mapping.empty();
-                    }
-                    if (!out.ted0) {
-                        VNPU_PROF("funnel.full_ged");
-                        g = scorer.score_subset(mesh, col.masks[i], b);
-                    }
-                }
-                out.bound_used = g.mapping.empty()
-                                     ? std::min(req.ged.cost_bound, b)
-                                     : kInf;
-                out.kind = CandidateScore::Kind::kScored;
-                out.cost = g.cost;
-                out.mapping = std::move(g.mapping);
-            };
-            if (funnel && !speculate) {
-                TaskPool::instance().parallel_for(
-                    0, static_cast<int>(runnable.size()), run_one);
-            } else {
-                // Speculated scores are ready; custom cost callbacks
-                // may not be thread-safe, so score those on the calling
-                // thread like the legacy loop did.
-                for (int ri = 0; ri < static_cast<int>(runnable.size());
-                     ++ri)
-                    run_one(ri);
+                sc.pruned = sc.lb > bound; // cost >= lb > any later best
+                if (sc.pruned)
+                    ++res.funnel.lb_pruned;
             }
 
             // Memo insert + reduction, in candidate index order.
-            for (std::size_t s = 0; s < n_slots; ++s) {
-                CandidateScore& sc = slots[s];
-                if (sc.kind == CandidateScore::Kind::kPruned)
+            for (std::size_t i = lo; i < hi; ++i) {
+                const Slot& sc = slots[i - run_lo];
+                if (sc.pruned)
                     continue;
-                const std::size_t i = lo + s;
                 if (!sc.from_memo) {
                     if (sc.ted0)
                         ++res.funnel.ted0_hits;
@@ -1088,27 +1056,31 @@ TopologyMapper::map_similar(const MappingRequest& req, const CoreSet& free,
                     if (funnel) {
                         if (memo_.size() >= kMemoCapacity)
                             memo_.clear();
+                        // An empty mapping is a bounded miss; a found
+                        // mapping holds under any bound.
                         memo_[MemoKey{memo_req_hash, col.masks[i]}] =
-                            MemoEntry{sc.cost, sc.mapping,
-                                      sc.bound_used};
+                            MemoEntry{sc.g.cost, sc.g.mapping,
+                                      sc.g.mapping.empty()
+                                          ? std::min(req.ged.cost_bound,
+                                                     run_bound)
+                                          : kInf};
                     }
                 }
-                if (sc.cost < best) {
-                    best = sc.cost;
+                if (sc.g.cost < best) {
+                    best = sc.g.cost;
                     std::vector<int> nodes =
                         graph::Graph::mask_to_nodes(col.masks[i]);
                     res.assignment.assign(k, kInvalidCore);
                     for (int v = 0; v < k; ++v)
-                        res.assignment[v] = nodes[sc.mapping[v]];
-                    res.ted = sc.cost;
+                        res.assignment[v] = nodes[sc.g.mapping[v]];
+                    res.ted = sc.g.cost;
                     res.ok = true;
                     // Early exit: candidate topology equals the
                     // request (Line 22) — already adjacency-perfect.
-                    if (col.hashes[i] == req_hash && sc.cost == 0.0)
+                    if (col.hashes[i] == req_hash && sc.g.cost == 0.0)
                         return true;
                 }
             }
-            lo = hi;
         }
         return false;
     };
@@ -1116,10 +1088,9 @@ TopologyMapper::map_similar(const MappingRequest& req, const CoreSet& free,
     bool adjacency_perfect = score_range(0);
     if (!adjacency_perfect && col.sampling_pending) {
         const std::size_t lo = col.masks.size();
-        if (early_sampled)
-            col.absorb_samples(early_draws, early_hashes);
-        else
-            col.sample_phase();
+        if (!sampled)
+            col.draw_samples(draws, draw_hashes);
+        col.absorb_samples(draws, draw_hashes);
         adjacency_perfect = score_range(lo);
     }
     res.candidates_considered = col.seen;

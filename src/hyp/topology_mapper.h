@@ -67,7 +67,8 @@ struct MappingRequest {
     MappingStrategy strategy = MappingStrategy::kSimilarTopology;
     /** R-3: reject disconnected regions (ignored by kFragmented). */
     bool require_connected = true;
-    /** Candidate-set budget before sampling kicks in (similar/frag). */
+    /** Candidate-set budget before sampling kicks in (similar/frag);
+     *  must be in [1, INT_MAX / 4] (SimFatal otherwise). */
     std::uint64_t max_candidates = 400;
     /**
      * Backtracking-step budget for the exact-isomorphism search (kExact
@@ -85,16 +86,6 @@ struct MappingRequest {
      * request whose `vtopo` changes must be rebuilt, not patched.
      */
     int grid_width = -1;
-    /**
-     * Enable the staged candidate-scoring funnel for the similar /
-     * fragmented strategies (TED-0 early exit, admissible lower-bound
-     * pruning, score memoization, pooled scoring). Decisions are
-     * bit-identical with the funnel on or off (see docs/sim_kernel.md,
-     * "Admission funnel"); `false` exists for differential testing.
-     * Custom edit-cost callbacks fall back to the unfunneled scorer
-     * automatically (they can be neither bounded nor memo-keyed).
-     */
-    bool funnel = true;
 };
 
 /** Similar/fragmented scoring-funnel stage counters (docs/sim_kernel.md,
@@ -157,7 +148,9 @@ class TopologyMapper {
   public:
     explicit TopologyMapper(const noc::MeshTopology& topo);
 
-    /** Run the requested strategy against the free-core set. */
+    /** Run the requested strategy against the free-core set.
+     *  @throws SimFatal when a similar/fragmented request's
+     *  `max_candidates` is outside [1, INT_MAX / 4]. */
     MappingResult map(const MappingRequest& req,
                       const CoreSet& free_cores) const;
 

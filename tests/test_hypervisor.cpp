@@ -73,6 +73,21 @@ TEST(HypervisorTest, RequestForRecordsExactGridWidth)
               -1);
 }
 
+TEST(HypervisorTest, RequestForRejectsCoreCountOutOfRange)
+{
+    // With no topo, num_cores sizes the snake request: a core count
+    // outside [1, kMaxCores] is a config error, not a 1-core VM or a
+    // simulator panic.
+    for (int n : {0, -1, kMaxCores + 1}) {
+        VnpuSpec spec;
+        spec.num_cores = n;
+        EXPECT_THROW(request_for(spec), SimFatal) << "num_cores=" << n;
+    }
+    VnpuSpec max;
+    max.num_cores = kMaxCores;
+    EXPECT_EQ(request_for(max).vtopo.num_nodes(), kMaxCores);
+}
+
 TEST(HypervisorTest, RectangularRegionsGetCompactTables)
 {
     Machine m(sim_cfg());

@@ -6,7 +6,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <cstdlib>
+#include <limits>
 #include <set>
 #include <utility>
 #include <vector>
@@ -277,6 +279,32 @@ TEST(MapperTest, NotEnoughCoresFails)
         mesh_request(4, 3, MappingStrategy::kSimilarTopology),
         all_cores(topo));
     EXPECT_FALSE(r.ok);
+}
+
+TEST(MapperTest, CandidateCapOutOfRangeIsFatal)
+{
+    // The sampler draws 4 * max_candidates as an int: 0 and any cap
+    // above INT_MAX / 4 are config errors for both strategies that
+    // score candidates.
+    noc::MeshTopology topo(4, 4);
+    TopologyMapper mapper(topo);
+    const std::uint64_t limit =
+        static_cast<std::uint64_t>(std::numeric_limits<int>::max() / 4);
+    for (MappingStrategy s : {MappingStrategy::kSimilarTopology,
+                              MappingStrategy::kFragmented}) {
+        MappingRequest req = mesh_request(2, 2, s);
+        for (std::uint64_t cap : {std::uint64_t{0}, limit + 1,
+                                  std::uint64_t{1} << 40}) {
+            req.max_candidates = cap;
+            EXPECT_THROW(mapper.map(req, all_cores(topo)), SimFatal)
+                << "cap=" << cap;
+        }
+        for (std::uint64_t cap : {std::uint64_t{1}, limit}) {
+            req.max_candidates = cap;
+            EXPECT_TRUE(mapper.map(req, all_cores(topo)).ok)
+                << "cap=" << cap;
+        }
+    }
 }
 
 TEST(MapperTest, HeterogeneousNodeCostSteersPlacement)

@@ -1,9 +1,9 @@
 /**
  * @file
- * Tests for the similar/fragmented admission funnel (ISSUE 6): the
- * staged candidate scorer must make bit-identical decisions with the
- * funnel on or off, its GED lower bounds must be admissible, and the
- * scoring pool must be deterministic.
+ * Tests for the similar/fragmented admission funnel: the staged
+ * candidate scorer must make the decisions of the unfunneled reference
+ * (default costs as callbacks), its GED lower bounds must be admissible,
+ * and the scoring pool must be deterministic.
  */
 
 #include <gtest/gtest.h>
@@ -69,12 +69,14 @@ generic_default_costs()
 
 /**
  * Run one fragmentation-churn sequence on a `side`x`side` mesh and
- * require the funneled and unfunneled mappers to agree on every
- * admission decision: same ok, same assignment (placement), same TED,
- * same error. The churn allocates snake requests of varying size and
- * frees the oldest live region every few steps, recreating the
- * fragmented free sets the funnel's memo and pruning stages see in
- * production.
+ * require the funneled mapper to agree with the unfunneled reference on
+ * every admission decision: same ok, same assignment (placement), same
+ * TED, same error. The reference passes the default costs as callbacks,
+ * which switch off every funnel stage, keep scoring on the calling
+ * thread and run the generic GED kernels. The churn allocates snake
+ * requests of varying size and frees the oldest live region every few
+ * steps, recreating the fragmented free sets the funnel's memo and
+ * pruning stages see in production.
  */
 void
 churn_differential(int side, int steps, MappingStrategy strategy)
@@ -95,10 +97,9 @@ churn_differential(int side, int steps, MappingStrategy strategy)
         MappingRequest req;
         req.vtopo = TopologyMapper::snake_topology(size);
         req.strategy = strategy;
-        req.funnel = true;
         MappingResult on = mapper.map(req, free_cores);
 
-        req.funnel = false;
+        req.ged = generic_default_costs();
         MappingResult off = mapper.map(req, free_cores);
 
         ASSERT_EQ(on.ok, off.ok) << "side=" << side << " step=" << step;
@@ -129,7 +130,8 @@ TEST(MapperFunnelTest, DifferentialChurn32x32SimilarAndFragmented)
 {
     // 32x32 exercises the sampled-candidate path (enumeration budget
     // overflows) and 47-node approximate GED. Kept short: the
-    // funnel-off reference scorer is the slow path under test.
+    // unfunneled reference (generic kernels on the calling thread) is
+    // the slow path under test.
     churn_differential(32, 8, MappingStrategy::kSimilarTopology);
     churn_differential(32, 8, MappingStrategy::kFragmented);
 }
