@@ -48,17 +48,6 @@ default_tenant_mix()
     return mix;
 }
 
-const char*
-to_string(ArrivalModel m)
-{
-    switch (m) {
-      case ArrivalModel::kPoisson: return "poisson";
-      case ArrivalModel::kBursty: return "bursty";
-      case ArrivalModel::kTrace: return "trace";
-    }
-    return "?";
-}
-
 ArrivalProcess::ArrivalProcess(const ArrivalConfig& cfg,
                                std::uint64_t seed,
                                std::vector<TenantClass> mix)
@@ -80,42 +69,6 @@ ArrivalProcess::ArrivalProcess(const ArrivalConfig& cfg,
         cum += c.weight;
         cum_weight_.push_back(cum);
     }
-    for (std::size_t i = 1; i < cfg_.trace.size(); ++i) {
-        if (cfg_.trace[i] < cfg_.trace[i - 1])
-            fatal("arrival trace must be non-decreasing");
-    }
-    if (cfg_.model == ArrivalModel::kTrace && cfg_.trace.empty())
-        fatal("kTrace arrival model needs a non-empty trace");
-}
-
-bool
-ArrivalProcess::exhausted() const
-{
-    return cfg_.model == ArrivalModel::kTrace &&
-           trace_pos_ >= cfg_.trace.size();
-}
-
-Tick
-ArrivalProcess::next_gap()
-{
-    switch (cfg_.model) {
-      case ArrivalModel::kPoisson:
-        return exponential_gap(rng_,
-                               static_cast<double>(cfg_.mean_gap));
-      case ArrivalModel::kBursty: {
-        double mean = static_cast<double>(cfg_.mean_gap);
-        if (burst_)
-            mean /= cfg_.burst_factor;
-        Tick gap = exponential_gap(rng_, mean);
-        // State transition after each arrival (geometric durations).
-        double u = rng_.next_double();
-        burst_ = burst_ ? u >= cfg_.burst_exit : u < cfg_.burst_enter;
-        return gap;
-      }
-      case ArrivalModel::kTrace:
-        break; // handled in next(): absolute ticks, not gaps
-    }
-    return 0;
 }
 
 FleetRequest
@@ -123,14 +76,7 @@ ArrivalProcess::next()
 {
     FleetRequest r;
     r.id = next_id_++;
-    if (cfg_.model == ArrivalModel::kTrace) {
-        if (trace_pos_ >= cfg_.trace.size())
-            fatal("arrival trace exhausted after ", trace_pos_,
-                  " arrivals");
-        now_ = cfg_.trace[trace_pos_++];
-    } else {
-        now_ += next_gap();
-    }
+    now_ += exponential_gap(rng_, static_cast<double>(cfg_.mean_gap));
     r.arrival = now_;
 
     double u = rng_.next_double() * cum_weight_.back();

@@ -5,9 +5,8 @@
  * A serving frontend does not wait for the rack to drain before the
  * next tenant shows up: requests arrive on their own clock (open loop)
  * and queue when the fleet is full. This module generates that stream:
- * Poisson arrivals, a two-state bursty variant (Markov-modulated
- * Poisson), or replay of an explicit arrival-tick trace, with the
- * tenant mix drawn from the model zoo (src/workload/model_zoo.h).
+ * Poisson arrivals, with the tenant mix drawn from the model zoo
+ * (src/workload/model_zoo.h).
  *
  * Determinism: every draw comes from one explicitly seeded Rng
  * substream owned by the process; the sequence of requests is a pure
@@ -48,29 +47,19 @@ struct TenantClass {
  */
 const std::vector<TenantClass>& default_tenant_mix();
 
-/** How arrival instants are generated. */
+/**
+ * How arrival instants are generated. Poisson is the only model; the
+ * enum stays because the benchmark runner sets `ArrivalConfig::model`.
+ */
 enum class ArrivalModel : std::uint8_t {
     kPoisson, ///< Exponential inter-arrival gaps.
-    kBursty,  ///< Two-state MMPP: calm gaps / burst_factor inside bursts.
-    kTrace,   ///< Replay explicit arrival ticks (tests, recorded loads).
 };
-
-const char* to_string(ArrivalModel m);
 
 /** Arrival-process parameters. */
 struct ArrivalConfig {
     ArrivalModel model = ArrivalModel::kPoisson;
-    /** Mean inter-arrival gap in ticks (calm-state mean for kBursty). */
+    /** Mean inter-arrival gap in ticks. */
     Tick mean_gap = 100;
-    /** kBursty: gaps shrink by this factor inside a burst. */
-    double burst_factor = 8.0;
-    /** kBursty: per-arrival probability of entering a burst. */
-    double burst_enter = 0.05;
-    /** kBursty: per-arrival probability of leaving a burst. */
-    double burst_exit = 0.2;
-    /** kTrace: arrival ticks, non-decreasing; the tenant mix is still
-     *  drawn per arrival from the rng substream. */
-    std::vector<Tick> trace;
 };
 
 /** One serving request emitted by the arrival process. */
@@ -96,33 +85,25 @@ class ArrivalProcess {
      * @param seed Master fleet seed; the process draws from its own
      *        substream so arrival randomness is decoupled from every
      *        device's decision stream (see Rng::substream).
-     * @throws SimFatal when the mix is empty, names an unknown
-     *         model-zoo entry, or a kTrace config has a decreasing
-     *         trace.
+     * @throws SimFatal when the mix is empty or names an unknown
+     *         model-zoo entry, or `mean_gap` is 0.
      */
     ArrivalProcess(const ArrivalConfig& cfg, std::uint64_t seed,
                    std::vector<TenantClass> mix = default_tenant_mix());
 
-    /** Generate the next arrival. @pre !exhausted() */
+    /** Generate the next arrival. */
     FleetRequest next();
-
-    /** kTrace only: true once the trace is fully replayed. */
-    bool exhausted() const;
 
     std::uint64_t generated() const { return next_id_; }
     const std::vector<TenantClass>& mix() const { return mix_; }
 
   private:
-    Tick next_gap();
-
     ArrivalConfig cfg_;
     std::vector<TenantClass> mix_;
     std::vector<double> cum_weight_;
     Rng rng_;
     Tick now_ = 0;
     std::uint64_t next_id_ = 0;
-    bool burst_ = false;
-    std::size_t trace_pos_ = 0;
 };
 
 } // namespace vnpu::fleet

@@ -51,10 +51,6 @@ FleetSimulator::FleetSimulator(const FleetConfig& cfg)
 {
     if (cfg_.num_devices <= 0)
         fatal("fleet needs at least one device");
-    if (cfg_.max_defrag_victims < 1)
-        fatal("max_defrag_victims must be >= 1");
-    if (cfg_.migration_bytes_per_tick <= 0.0)
-        fatal("migration_bytes_per_tick must be positive");
     devices_.reserve(static_cast<std::size_t>(cfg_.num_devices));
     for (int i = 0; i < cfg_.num_devices; ++i) {
         devices_.push_back(
@@ -64,14 +60,13 @@ FleetSimulator::FleetSimulator(const FleetConfig& cfg)
     residents_.resize(devices_.size());
     // Every class's requests are built here, once; a class fits iff the
     // mapper admits it exactly on an empty device.
-    const auto request = [this](const TenantClass& c,
-                                hyp::MappingStrategy s) {
+    const auto request = [](const TenantClass& c, hyp::MappingStrategy s) {
         hyp::VnpuSpec spec;
         spec.topo = graph::Graph::mesh(c.width, c.height);
         spec.strategy = s;
         spec.noc_isolation = s != hyp::MappingStrategy::kStraightforward;
-        spec.max_candidates = cfg_.similar_max_candidates;
-        spec.exact_search_budget = cfg_.exact_search_budget;
+        spec.max_candidates = kSimilarMaxCandidates;
+        spec.exact_search_budget = kExactSearchBudget;
         return hyp::request_for(spec);
     };
     for (const TenantClass& c : arrivals_.mix()) {
@@ -86,7 +81,6 @@ FleetSimulator::FleetSimulator(const FleetConfig& cfg)
                   ") does not fit a ", cfg_.device.mesh_x, "x",
                   cfg_.device.mesh_y, " device: ", m.error);
     }
-    jitter_log_.resize(devices_.size());
     if (more_arrivals()) {
         const FleetRequest r = arrivals_.next();
         queue_.schedule(r.arrival, [this, r] { arrive(r); });
@@ -179,7 +173,7 @@ FleetSimulator::migration_cost(int cores) const
     const double bytes =
         static_cast<double>(cfg_.device.spad_bytes_per_core) * cores;
     return static_cast<Tick>(
-        std::ceil(bytes / cfg_.migration_bytes_per_tick));
+        std::ceil(bytes / kMigrationBytesPerTick));
 }
 
 // ---- Event loop ----------------------------------------------------------
@@ -209,7 +203,7 @@ FleetSimulator::enqueue(const Queued& q)
 {
     pending_.push_back(q);
     queue_peak_ = std::max(queue_peak_, pending_.size());
-    queue_.schedule(q.req.arrival + cfg_.queue_timeout,
+    queue_.schedule(q.req.arrival + kQueueTimeout,
                     [this] { schedule_pass(); });
 }
 
@@ -307,8 +301,8 @@ FleetSimulator::expire_timeouts(Tick t)
     // Patience sweep over the whole queue, not just the head: a giant
     // head can block small requests past their own deadlines.
     for (auto it = pending_.begin(); it != pending_.end();) {
-        if (it->req.arrival + cfg_.queue_timeout <= t) {
-            reject(it->req.arrival + cfg_.queue_timeout, *it);
+        if (it->req.arrival + kQueueTimeout <= t) {
+            reject(it->req.arrival + kQueueTimeout, *it);
             it = pending_.erase(it);
         } else {
             ++it;
@@ -365,7 +359,7 @@ FleetSimulator::place(const FleetRequest& r) const
 {
     const ClassRequests& cr = requests_of(r.tenant_class);
     Placement p = pick(cr.exact);
-    if (!p.m.ok && r.cores() <= cfg_.similar_fallback_max_cores)
+    if (!p.m.ok && r.cores() <= kSimilarFallbackMaxCores)
         p = pick(cr.similar);
     return p;
 }
@@ -415,12 +409,8 @@ FleetSimulator::admit(Tick t, const Queued& q, const Placement& p,
     // is base + the hosting device's private jitter draw. Migration
     // state-copy overlaps service but gates completion.
     const Tick start = std::max(t, sched_free_at_);
-    Cycles jitter = 0;
-    if (cfg_.admit_jitter_ticks > 0)
-        jitter = dev.rng().next_below(cfg_.admit_jitter_ticks);
-    if (cfg_.record_device_jitter)
-        jitter_log_[static_cast<std::size_t>(p.device)].push_back(jitter);
-    const Tick service = cfg_.admit_base_ticks + jitter;
+    const Tick service =
+        kAdmitBaseTicks + dev.rng().next_below(kAdmitJitterTicks);
     sched_free_at_ = start + service;
     const Tick done = start + service + migration_wait;
 
@@ -524,8 +514,7 @@ FleetSimulator::plan_defrag(const FleetRequest& r) const
         std::vector<const Tenant*> victims;
         // Candidate victims on this device, smallest (cheapest) first.
         for (const Tenant* v : residents_[static_cast<std::size_t>(d)]) {
-            if (static_cast<int>(victims.size()) >=
-                cfg_.max_defrag_victims)
+            if (static_cast<int>(victims.size()) >= kMaxDefragVictims)
                 break;
             acc |= dev.hypervisor().find(v->vm)->mask();
             victims.push_back(v);

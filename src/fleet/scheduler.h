@@ -76,36 +76,10 @@ struct FleetConfig {
     PlacementPolicy policy = PlacementPolicy::kFirstFit;
     ArrivalConfig arrival;
     std::vector<TenantClass> mix = default_tenant_mix();
-    /** Stop generating after this many arrivals (trace length caps
-     *  kTrace runs regardless). */
+    /** Stop generating after this many arrivals. */
     std::uint64_t max_arrivals = 10'000;
-    /** Patience: a queued request still waiting this many ticks after
-     *  arrival is rejected. */
-    Tick queue_timeout = 25'000;
-    /** Admission service time: base + uniform jitter in [0, jitter)
-     *  drawn from the hosting device's private stream. Admissions
-     *  serialize through one fleet scheduler (open-loop queueing). */
-    Cycles admit_base_ticks = 200;
-    Cycles admit_jitter_ticks = 64;
-    /** Step budget per exact-map attempt; keeps a blocked 256-core
-     *  head from stalling the event loop on hopeless searches. */
-    std::uint64_t exact_search_budget = 20'000;
-    /** Exact misses fall back to kSimilarTopology only for requests
-     *  this small (candidate enumeration costs ~100 ms per scan on a
-     *  fragmented 1024-core mesh, so it is reserved for the small
-     *  tenants that benefit most). */
-    int similar_fallback_max_cores = 16;
-    std::uint64_t similar_max_candidates = 16;
-    // ---- Defragmentation / migration -----------------------------------
+    /** Migrate small tenants to carve out room for a blocked head. */
     bool defrag = true;
-    /** Most tenants migrated to admit one blocked request. */
-    int max_defrag_victims = 3;
-    /** Migration cost model: moving a tenant copies its SPAD-resident
-     *  state at this rate (ticks = ceil(cores * spad_bytes_per_core /
-     *  rate)); the admitting request waits for the slowest victim. */
-    double migration_bytes_per_tick = 65536.0;
-    /** Record per-device jitter draws (tests; unbounded memory). */
-    bool record_device_jitter = false;
 };
 
 /** One scheduling decision, in decision order. */
@@ -147,6 +121,31 @@ struct FleetStats {
  */
 class FleetSimulator {
   public:
+    /** Patience: a queued request still waiting this many ticks after
+     *  arrival is rejected. */
+    static constexpr Tick kQueueTimeout = 25'000;
+    /** Admission service time: base + uniform jitter in [0, jitter)
+     *  drawn from the hosting device's private stream. Admissions
+     *  serialize through one fleet scheduler (open-loop queueing). */
+    static constexpr Cycles kAdmitBaseTicks = 200;
+    static constexpr Cycles kAdmitJitterTicks = 64;
+    /** Step budget per exact-map attempt; keeps a blocked 256-core
+     *  head from stalling the event loop on hopeless searches. */
+    static constexpr std::uint64_t kExactSearchBudget = 20'000;
+    /** Exact misses fall back to kSimilarTopology only for requests
+     *  this small (candidate enumeration costs ~100 ms per scan on a
+     *  fragmented 1024-core mesh, so it is reserved for the small
+     *  tenants that benefit most). */
+    static constexpr int kSimilarFallbackMaxCores = 16;
+    /** Candidate cap of the similar fallback's mapping requests. */
+    static constexpr std::uint64_t kSimilarMaxCandidates = 16;
+    /** Most tenants migrated to admit one blocked request. */
+    static constexpr int kMaxDefragVictims = 3;
+    /** Migration cost model: moving a tenant copies its SPAD-resident
+     *  state at this rate (ticks = ceil(cores * spad_bytes_per_core /
+     *  rate)); the admitting request waits for the slowest victim. */
+    static constexpr double kMigrationBytesPerTick = 65536.0;
+
     explicit FleetSimulator(const FleetConfig& cfg);
     ~FleetSimulator();
 
@@ -197,13 +196,6 @@ class FleetSimulator {
     /** Fleet-level gauges and counters under `prefix`. */
     void collect_stats(StatSet& out,
                        const std::string& prefix = "fleet.") const;
-
-    /** Jitter draws of device `i`, oldest first (only recorded under
-     *  FleetConfig::record_device_jitter). */
-    const std::vector<Cycles>& device_jitter_log(int i) const
-    {
-        return jitter_log_.at(i);
-    }
 
   private:
     /** One queued request; `requeued` marks a preempted tenant going
@@ -282,8 +274,7 @@ class FleetSimulator {
 
     bool more_arrivals() const
     {
-        return arrivals_.generated() < cfg_.max_arrivals &&
-               !arrivals_.exhausted();
+        return arrivals_.generated() < cfg_.max_arrivals;
     }
     /** Append `q` to the queue and wake a pass at its deadline. */
     void enqueue(const Queued& q);
@@ -345,8 +336,6 @@ class FleetSimulator {
     Tick last_integral_t_ = 0;
     int used_peak_ = 0;
     std::size_t queue_peak_ = 0;
-
-    std::vector<std::vector<Cycles>> jitter_log_;
 };
 
 } // namespace vnpu::fleet

@@ -230,7 +230,7 @@ preimages(std::uint64_t s, const int* inv)
  *                        ^ preimages(cand_row[c] & used))
  *
  * where `inv[]` holds each used candidate's preimage. The DFS order,
- * the `>= best` prunes and the `cost_bound` start are ExactSearch's;
+ * the `>= best` prunes and the bound start are ExactSearch's;
  * every partial cost is a small integer, exactly representable, so each
  * comparison against the double bound decides as ExactSearch's does and
  * the result (cost and mapping) is bit-identical.
@@ -567,9 +567,8 @@ approx_core(const DenseGraph& dreq, const DenseGraph& dcand,
                          return dcand.degree(a) > dcand.degree(b);
                      });
 
-    const int seeds = std::max(1, opt.approx_seeds);
     mapping.resize(n);
-    for (int s = 0; s < seeds; ++s) {
+    for (int s = 0; s < kGedApproxSeeds; ++s) {
         const std::vector<int>& ro = req_orders[s];
         bfs_order_into(dcand, cand_anchors[s % n], co);
         for (int i = 0; i < n; ++i)
@@ -587,7 +586,7 @@ approx_core(const DenseGraph& dreq, const DenseGraph& dcand,
 }
 
 /** Branch-and-bound minimum over bijections (shared by entry points),
- *  pruned at `bound` (GedOptions::cost_bound semantics). */
+ *  pruned at `bound` (`exact_ged`'s bound semantics). */
 GedResult
 exact_core(const DenseGraph& dreq, const DenseGraph& dcand,
            const GedOptions& opt, double bound)
@@ -619,8 +618,7 @@ exact_core(const DenseGraph& dreq, const DenseGraph& dcand,
 
 /** Request anchors (degree-sorted) and per-seed BFS orders. */
 void
-req_side_state(const DenseGraph& dreq, const GedOptions& opt,
-               std::vector<int>& anchors,
+req_side_state(const DenseGraph& dreq, std::vector<int>& anchors,
                std::vector<std::vector<int>>& orders)
 {
     const int n = dreq.n;
@@ -629,9 +627,8 @@ req_side_state(const DenseGraph& dreq, const GedOptions& opt,
     std::stable_sort(anchors.begin(), anchors.end(), [&](int a, int b) {
         return dreq.degree(a) > dreq.degree(b);
     });
-    const int seeds = std::max(1, opt.approx_seeds);
-    orders.resize(seeds);
-    for (int s = 0; s < seeds; ++s)
+    orders.resize(kGedApproxSeeds);
+    for (int s = 0; s < kGedApproxSeeds; ++s)
         orders[s] = bfs_order(dreq, anchors[s % n]);
 }
 
@@ -648,13 +645,14 @@ ged_mapping_cost(const Graph& req, const Graph& cand,
 }
 
 GedResult
-exact_ged(const Graph& req, const Graph& cand, const GedOptions& opt)
+exact_ged(const Graph& req, const Graph& cand, const GedOptions& opt,
+          double bound)
 {
     VNPU_ASSERT(req.num_nodes() == cand.num_nodes());
     if (req.num_nodes() == 0)
         return {0.0, {}};
     DenseGraph dreq(req), dcand(cand);
-    return exact_core(dreq, dcand, opt, opt.cost_bound);
+    return exact_core(dreq, dcand, opt, bound);
 }
 
 GedResult
@@ -666,14 +664,14 @@ approx_ged(const Graph& req, const Graph& cand, const GedOptions& opt)
     DenseGraph dreq(req), dcand(cand);
     std::vector<int> anchors;
     std::vector<std::vector<int>> orders;
-    req_side_state(dreq, opt, anchors, orders);
+    req_side_state(dreq, anchors, orders);
     return approx_core(dreq, dcand, opt, orders);
 }
 
 GedResult
 ged(const Graph& req, const Graph& cand, const GedOptions& opt)
 {
-    if (req.num_nodes() <= opt.exact_limit)
+    if (req.num_nodes() <= kGedExactLimit)
         return exact_ged(req, cand, opt);
     return approx_ged(req, cand, opt);
 }
@@ -687,7 +685,7 @@ struct GedScorer::Impl {
     Impl(const Graph& req, const GedOptions& o) : opt(o), dreq(req)
     {
         if (dreq.n > 0)
-            req_side_state(dreq, opt, req_anchors, req_orders);
+            req_side_state(dreq, req_anchors, req_orders);
     }
 };
 
@@ -707,9 +705,8 @@ GedScorer::score_subset(const Graph& host, const NodeMask& mask,
         return {0.0, {}};
     DenseGraph dcand(host, mask);
     VNPU_ASSERT(dcand.n == im.dreq.n);
-    if (im.dreq.n <= im.opt.exact_limit)
-        return exact_core(im.dreq, dcand, im.opt,
-                          std::min(im.opt.cost_bound, bound));
+    if (im.dreq.n <= kGedExactLimit)
+        return exact_core(im.dreq, dcand, im.opt, bound);
     return approx_core(im.dreq, dcand, im.opt, im.req_orders);
 }
 

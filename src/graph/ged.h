@@ -28,6 +28,13 @@
 
 namespace vnpu::graph {
 
+/** Largest graph `ged` and `GedScorer` solve exactly; bigger graphs use
+ *  the approximation. */
+inline constexpr int kGedExactLimit = 9;
+
+/** Number of restart seeds of the approximate search. */
+inline constexpr int kGedApproxSeeds = 4;
+
 /** Customizable edit costs (Algorithm 1's NodeMatch / EdgeMatch). */
 struct GedOptions {
     /**
@@ -45,24 +52,6 @@ struct GedOptions {
 
     /** Cost of a candidate edge with no preimage (edge insertion). */
     double edge_ins_cost = 1.0;
-
-    /** Largest graph solved exactly; bigger graphs use approximation. */
-    int exact_limit = 9;
-
-    /** Number of restart seeds for the approximate search. */
-    int approx_seeds = 4;
-
-    /**
-     * Prune-only upper bound for the exact search: branches whose
-     * accumulated cost reaches `cost_bound` are cut. `exact_ged` then
-     * returns a bit-identical (cost, mapping) whenever the true minimum
-     * is < cost_bound, and {infinity, {}} otherwise — the caller's
-     * "does this beat my running best?" test is unchanged either way
-     * (the mapper funnel threads its running best through here).
-     * Ignored by `approx_ged`: aborting its 2-opt descent mid-way would
-     * change results. Default: unbounded.
-     */
-    double cost_bound = std::numeric_limits<double>::infinity();
 };
 
 /** Result: the minimal cost found and the realizing node bijection. */
@@ -80,13 +69,22 @@ double ged_mapping_cost(const Graph& req, const Graph& cand,
 /**
  * Exact minimum TED by branch and bound. @pre req.n == cand.n <= ~10
  *
+ * `bound` is a prune-only upper bound: branches whose accumulated cost
+ * reaches it are cut. The result is then a bit-identical (cost,
+ * mapping) whenever the true minimum is < bound, and {infinity, {}}
+ * otherwise — the caller's "does this beat my running best?" test is
+ * unchanged either way (the mapper funnel threads its running best
+ * through here). The approximate search takes no bound: aborting its
+ * 2-opt descent mid-way would change results.
+ *
  * Under default costs (no callbacks, `edge_ins_cost` 1) and n <= 64
  * the search runs on integer costs over one-word adjacency rows; every
  * partial cost is then a small integer, so it returns the generic
- * search's cost and mapping bit for bit, under any `cost_bound`.
+ * search's cost and mapping bit for bit, under any bound.
  */
-GedResult exact_ged(const Graph& req, const Graph& cand,
-                    const GedOptions& opt = {});
+GedResult exact_ged(
+    const Graph& req, const Graph& cand, const GedOptions& opt = {},
+    double bound = std::numeric_limits<double>::infinity());
 
 /**
  * Approximate minimum TED: greedy BFS-seeded assignment + 2-opt.
@@ -99,7 +97,7 @@ GedResult exact_ged(const Graph& req, const Graph& cand,
 GedResult approx_ged(const Graph& req, const Graph& cand,
                      const GedOptions& opt = {});
 
-/** Dispatch: exact for small graphs, approximate otherwise. */
+/** Dispatch: exact up to `kGedExactLimit` nodes, approximate above. */
 GedResult ged(const Graph& req, const Graph& cand,
               const GedOptions& opt = {});
 
@@ -111,16 +109,15 @@ GedResult ged(const Graph& req, const Graph& cand,
  * mask, skipping the `induced()` materialization.
  *
  * `score_subset(host, mask, bound)` returns a result bit-identical to
- * `ged(req, host.induced(Graph::mask_to_nodes(mask)), o)`, where `o`
- * is `opt` with `cost_bound` lowered to `min(opt.cost_bound, bound)`:
- * the subset keeps ascending node order, so the candidate seen by the
- * search is the same graph, and the search itself is shared code. The
- * exact search (n <= `exact_limit`) therefore returns {infinity, {}}
- * when no bijection costs less than the bound; `bound` =
- * `numeric_limits<double>::min()` asks only for a zero-cost bijection.
- * The approximate search ignores the bound, as `approx_ged` ignores
- * `cost_bound`. Thread-safe for concurrent calls on one scorer
- * (scratch is thread-local; the shared request side is read-only).
+ * `exact_ged(req, cand, opt, bound)` for n <= `kGedExactLimit` and to
+ * `approx_ged(req, cand, opt)` above, where `cand` is
+ * `host.induced(Graph::mask_to_nodes(mask))`: the subset keeps
+ * ascending node order, so the candidate seen by the search is the same
+ * graph, and the search itself is shared code. The exact search
+ * therefore returns {infinity, {}} when no bijection costs less than
+ * the bound; the approximate search ignores it. Thread-safe for
+ * concurrent calls on one scorer (scratch is thread-local; the shared
+ * request side is read-only).
  */
 class GedScorer {
   public:

@@ -308,7 +308,8 @@ has_connected_region(const graph::Graph& mesh, CoreSet free, int k)
 
 /**
  * Order-dependent request fingerprint for the memo key: node order,
- * labels, adjacency, and every GedOptions field that shapes a score.
+ * labels, adjacency, and the edge insertion cost (the funnel, and so
+ * the memo, runs only without cost callbacks).
  * (The iso-invariant wl_hash would be wrong here: GED mappings are
  * index-order dependent, so two differently-numbered isomorphic
  * requests must not share memo entries.)
@@ -334,10 +335,6 @@ request_struct_hash(const MappingRequest& req)
     std::uint64_t bits;
     std::memcpy(&bits, &req.ged.edge_ins_cost, sizeof(bits));
     fold(bits);
-    std::memcpy(&bits, &req.ged.cost_bound, sizeof(bits));
-    fold(bits);
-    fold(static_cast<std::uint64_t>(req.ged.exact_limit));
-    fold(static_cast<std::uint64_t>(req.ged.approx_seeds));
     return h;
 }
 
@@ -364,7 +361,7 @@ subset_profile(const graph::Graph& mesh, const graph::NodeMask& m)
  *  `g`; the replay sets `pruned`, or `from_memo` with the memo's `g`. */
 struct Slot {
     double lb = 0.0;
-    bool ted0 = false; ///< resolved by the zero-bounded exact search
+    bool ted0 = false; ///< a request-hash-equal exact score of cost 0
     bool pruned = false;
     bool from_memo = false;
     graph::GedResult g;
@@ -890,7 +887,7 @@ TopologyMapper::map_similar(const MappingRequest& req, const CoreSet& free,
     // prune bound relies on non-negative increments).
     const bool funnel = !req.ged.node_cost && !req.ged.edge_del_cost &&
                         req.ged.edge_ins_cost >= 0.0;
-    const bool exact = k <= req.ged.exact_limit;
+    const bool exact = k <= graph::kGedExactLimit;
 
     CandidateCollector col(req, free, mesh);
     // Component bound: a free set whose largest connected component is
@@ -910,12 +907,12 @@ TopologyMapper::map_similar(const MappingRequest& req, const CoreSet& free,
     const graph::GedScorer scorer(req.vtopo, req.ged);
 
     // The memo entry that serves candidate i under `bound`: a completed
-    // search (`cost < bound_used`) or one at least as strict.
+    // search (`cost < run_bound`) or one at least as strict.
     auto memo_entry = [&](std::size_t i, double bound) -> const MemoEntry* {
         VNPU_PROF("funnel.memo_probe");
         auto it = memo_.find(MemoKey{memo_req_hash, col.masks[i]});
-        return it != memo_.end() && (it->second.cost < it->second.bound_used ||
-                                     bound <= it->second.bound_used)
+        return it != memo_.end() && (it->second.cost < it->second.run_bound ||
+                                     bound <= it->second.run_bound)
                    ? &it->second
                    : nullptr;
     };
@@ -984,19 +981,16 @@ TopologyMapper::map_similar(const MappingRequest& req, const CoreSet& free,
                 if (out.lb > run_bound)
                     return;
             }
-            if (exact && funnel && col.hashes[i] == req_hash) {
-                // TED-0 stage: the zero-bounded exact search finds the
-                // canonical (DFS-first) zero-cost mapping, if one
-                // exists, without exploring any paid branch.
-                VNPU_PROF("funnel.ted0_cert");
-                out.g = scorer.score_subset(
-                    mesh, col.masks[i], std::numeric_limits<double>::min());
-                out.ted0 = !out.g.mapping.empty();
-            }
-            if (!out.ted0) {
-                VNPU_PROF("funnel.full_ged");
-                out.g = scorer.score_subset(mesh, col.masks[i], run_bound);
-            }
+            VNPU_PROF("funnel.full_ged");
+            out.g = scorer.score_subset(mesh, col.masks[i], run_bound);
+            // TED-0 stage: under any positive bound the branch and bound
+            // returns the DFS-first minimum mapping, which is the
+            // canonical zero-cost one whenever one exists. The bound is
+            // positive here: under a positive edge insertion cost a
+            // zero-cost candidate is isomorphic to the request, so its
+            // hash-equal slot ends the scan before the best reaches 0.
+            out.ted0 = exact && funnel && col.hashes[i] == req_hash &&
+                       out.g.cost == 0.0;
         };
         const int n = static_cast<int>(hi - lo) + extra;
         if (funnel) {
@@ -1060,10 +1054,8 @@ TopologyMapper::map_similar(const MappingRequest& req, const CoreSet& free,
                         // mapping holds under any bound.
                         memo_[MemoKey{memo_req_hash, col.masks[i]}] =
                             MemoEntry{sc.g.cost, sc.g.mapping,
-                                      sc.g.mapping.empty()
-                                          ? std::min(req.ged.cost_bound,
-                                                     run_bound)
-                                          : kInf};
+                                      sc.g.mapping.empty() ? run_bound
+                                                           : kInf};
                     }
                 }
                 if (sc.g.cost < best) {

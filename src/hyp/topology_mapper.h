@@ -96,7 +96,7 @@ struct FunnelCounters {
     std::uint64_t lb_pruned = 0;   ///< Discarded by the GED lower bound.
     std::uint64_t memo_hits = 0;   ///< Scores reused from the memo.
     std::uint64_t memo_misses = 0; ///< Memo probes that missed.
-    std::uint64_t ted0_hits = 0;   ///< Zero-bounded exact-search hits.
+    std::uint64_t ted0_hits = 0;   ///< Hash-equal exact scores of cost 0.
     std::uint64_t full_ged = 0;    ///< Full exact/approx GED runs.
 };
 
@@ -212,12 +212,12 @@ class TopologyMapper {
         }
     };
     struct MemoEntry {
-        double cost; ///< infinity when no bijection beat `bound_used`.
+        double cost; ///< infinity when no bijection beat `run_bound`.
         std::vector<int> mapping;
         /** Exact-search prune bound in force when `cost` was computed:
          *  infinity marks a bound-independent (exact) result; a finite
-         *  value only proves "true minimum >= bound_used". */
-        double bound_used;
+         *  value only proves "true minimum >= run_bound". */
+        double run_bound;
     };
     /** Size-bounded (flushed when full); mutable: map() is logically
      *  const and the memo is a pure cache. */

@@ -106,7 +106,7 @@ Network::Network(const SocConfig& cfg, const MeshTopology& topo,
                  EventQueue& eq)
     : cfg_(cfg), topo_(topo), eq_(eq),
       link_busy_(static_cast<std::size_t>(topo.num_nodes()) * 4, 0),
-      link_vms_(static_cast<std::size_t>(topo.num_nodes()) * 4, 0),
+      link_vms_(static_cast<std::size_t>(topo.num_nodes()) * 4),
       link_ctr_(static_cast<std::size_t>(topo.num_nodes()) * 4)
 {
 }
@@ -309,8 +309,8 @@ int
 Network::interference_links() const
 {
     int shared = 0;
-    for (std::uint64_t vms : link_vms_)
-        if (__builtin_popcountll(vms) >= 2)
+    for (const LinkVms& l : link_vms_)
+        if (l.shared)
             ++shared;
     return shared;
 }
@@ -325,7 +325,7 @@ void
 Network::reset()
 {
     std::fill(link_busy_.begin(), link_busy_.end(), 0);
-    std::fill(link_vms_.begin(), link_vms_.end(), 0);
+    std::fill(link_vms_.begin(), link_vms_.end(), LinkVms{});
     std::fill(link_ctr_.begin(), link_ctr_.end(), LinkCounters{});
     stats_ = NetworkStats{};
 }

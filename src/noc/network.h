@@ -203,12 +203,6 @@ class Network {
     std::vector<int> route_path(int src, int dst,
                                 const RouteOverride* route = nullptr) const;
 
-    /** Per-directed-link list of VMs that sent traffic over it. */
-    const std::vector<std::uint64_t>& link_vm_masks() const
-    {
-        return link_vms_;
-    }
-
     /** Per-directed-link flit/busy counters, indexed node*4 + dir. */
     const std::vector<LinkCounters>& link_counters() const
     {
@@ -295,12 +289,25 @@ class Network {
         return hops;
     }
 
-    /** Record that `vm` used directed link `li`. */
+    /** The VMs that sent traffic over one directed link: the first
+     *  one seen, and whether another one followed. */
+    struct LinkVms {
+        VmId first = kNoVm;
+        bool shared = false;
+    };
+
+    /** Record that `vm` used directed link `li` (bare-metal traffic,
+     *  `vm` < 0, belongs to no VM). */
     void
     mark_link(int li, VmId vm)
     {
-        if (vm >= 0 && vm < 64)
-            link_vms_[li] |= std::uint64_t{1} << vm;
+        if (vm < 0)
+            return;
+        LinkVms& l = link_vms_[li];
+        if (l.first == kNoVm)
+            l.first = vm;
+        else if (l.first != vm)
+            l.shared = true;
     }
 
     /** Cycles to serialize `bytes` at link bandwidth. */
@@ -313,7 +320,7 @@ class Network {
 
     /** busy-until per directed link, indexed node*4 + direction. */
     std::vector<Tick> link_busy_;
-    std::vector<std::uint64_t> link_vms_;
+    std::vector<LinkVms> link_vms_;
     std::vector<LinkCounters> link_ctr_;
     NetworkStats stats_;
 };

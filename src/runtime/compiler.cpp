@@ -15,12 +15,12 @@ using workload::StageSlice;
 /** Emit one load of [va, va+bytes) that the core issues in chunks. */
 void
 emit_chunked_load(core::Program& prog, core::Opcode op, Addr va,
-                  std::uint64_t bytes, std::uint64_t chunk_bytes)
+                  std::uint64_t bytes)
 {
     if (bytes == 0)
         return;
-    const auto chunk =
-        static_cast<std::uint32_t>(std::min(chunk_bytes, bytes));
+    const auto chunk = static_cast<std::uint32_t>(
+        std::min<std::uint64_t>(kDmaChunkBytes, bytes));
     if (op == core::Opcode::kLoadWeight)
         prog.push_back(core::Instr::load_weight(va, bytes, chunk));
     else
@@ -36,10 +36,6 @@ compile_pipeline(const Model& model, const PipelinePlan& plan,
 {
     if (opt.iterations < 1)
         fatal("need at least one iteration");
-    if (opt.chunk_bytes == 0 || opt.chunk_bytes > UINT32_MAX) {
-        fatal("DMA chunk size must be in [1, ", UINT32_MAX, "] bytes, got ",
-              opt.chunk_bytes);
-    }
 
     const int n = plan.num_stages;
     CompiledWorkload out;
@@ -110,7 +106,7 @@ compile_pipeline(const Model& model, const PipelinePlan& plan,
         // Warm-up: resident weights load once before the first iteration.
         if (!opt.stream_weights && wb > 0) {
             emit_chunked_load(prog, core::Opcode::kLoadWeight, weight_va[s],
-                              wb, opt.chunk_bytes);
+                              wb);
         }
 
         for (int it = 0; it < opt.iterations; ++it) {
@@ -124,12 +120,11 @@ compile_pipeline(const Model& model, const PipelinePlan& plan,
 
             if (opt.stream_weights && wb > 0) {
                 emit_chunked_load(prog, core::Opcode::kLoadWeight,
-                                  weight_va[s], wb, opt.chunk_bytes);
+                                  weight_va[s], wb);
             }
             if (input_bytes[s] > 0) {
                 emit_chunked_load(prog, core::Opcode::kLoadGlobal,
-                                  input_va[s], input_bytes[s],
-                                  opt.chunk_bytes);
+                                  input_va[s], input_bytes[s]);
             }
 
             // Incoming edges.

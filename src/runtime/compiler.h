@@ -27,6 +27,10 @@ namespace vnpu::runtime {
 /** Dataflow edge lowering mode. */
 enum class CommMode { kDataflow, kUvmSync };
 
+/** DMA chunk granularity for weight/input streaming: each load
+ *  instruction carries it, and the core issues one transfer per chunk. */
+inline constexpr std::uint32_t kDmaChunkBytes = 64 * 1024;
+
 /** Compilation knobs. */
 struct CompileOptions {
     int iterations = 4;
@@ -34,10 +38,6 @@ struct CompileOptions {
     /** Reload weights from HBM every iteration (set when the stage's
      *  weights exceed the scratchpad weight-zone). */
     bool stream_weights = false;
-    /** DMA chunk granularity for weight/input streaming: each load
-     *  instruction carries it, and the core issues one transfer per
-     *  chunk. Must be in [1, UINT32_MAX]. */
-    std::uint64_t chunk_bytes = 64 * 1024;
     /**
      * Latency-critical serving: at most one inference in flight. The
      * last stage returns a completion token that gates the next

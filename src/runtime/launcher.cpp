@@ -69,9 +69,8 @@ WorkloadLauncher::load_impl(const virt::VirtualNpu* vnpu,
     CompiledWorkload compiled =
         compile_pipeline(model, plan, copt, va_base, va_limit);
 
-    // Bare metal (or vRouter disabled): peers are resolved statically.
-    bool runtime_xlat = vnpu != nullptr && opt.use_vrouter;
-    if (!runtime_xlat) {
+    // Bare metal: peers are resolved statically.
+    if (!vnpu) {
         for (core::Program& prog : compiled.programs) {
             for (core::Instr& in : prog) {
                 if (in.op == core::Opcode::kSend ||
@@ -109,7 +108,7 @@ WorkloadLauncher::load_impl(const virt::VirtualNpu* vnpu,
         ccfg.vm = vnpu ? vnpu->vm() : kNoVm;
         ccfg.shared_cap = run.bw_limiter.get();
 
-        if (runtime_xlat) {
+        if (vnpu) {
             run.vrouters.push_back(std::make_unique<virt::NocVRouter>(
                 cfg, vnpu->routing_table(), vnpu->confined_routes()));
             ccfg.vrouter = run.vrouters.back().get();

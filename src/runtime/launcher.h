@@ -39,8 +39,6 @@ struct LaunchOptions {
     int tlb_entries = 4;
     /** One inference in flight at a time (latency-critical serving). */
     bool single_stream = false;
-    /** Install the NoC vRouter (id rewrite + confinement). */
-    bool use_vrouter = true;
     /** Enforce the vNPU's bandwidth cap. */
     bool apply_bw_cap = true;
 };

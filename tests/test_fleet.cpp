@@ -96,56 +96,13 @@ TEST(ArrivalTest, PoissonIsDeterministicAndMonotonic)
     EXPECT_TRUE(any_diff);
 }
 
-TEST(ArrivalTest, TraceReplayUsesExplicitTicks)
-{
-    ArrivalConfig cfg;
-    cfg.model = ArrivalModel::kTrace;
-    cfg.trace = {5, 5, 12, 40};
-    ArrivalProcess p(cfg, 1);
-    std::vector<Tick> got;
-    while (!p.exhausted())
-        got.push_back(p.next().arrival);
-    EXPECT_EQ(got, (std::vector<Tick>{5, 5, 12, 40}));
-    EXPECT_EQ(p.generated(), 4u);
-}
-
 TEST(ArrivalTest, RejectsBrokenConfigs)
 {
-    ArrivalConfig decreasing;
-    decreasing.model = ArrivalModel::kTrace;
-    decreasing.trace = {10, 4};
-    EXPECT_THROW(ArrivalProcess(decreasing, 1), SimFatal);
-
-    ArrivalConfig empty_trace;
-    empty_trace.model = ArrivalModel::kTrace;
-    EXPECT_THROW(ArrivalProcess(empty_trace, 1), SimFatal);
-
     ArrivalConfig ok;
     EXPECT_THROW(ArrivalProcess(ok, 1, {{"no-such-model", 2, 2, 1.0, 10}}),
                  SimFatal);
     EXPECT_THROW(ArrivalProcess(ok, 1, std::vector<TenantClass>{}),
                  SimFatal);
-}
-
-TEST(ArrivalTest, BurstyTightensInterArrivalGaps)
-{
-    ArrivalConfig calm;
-    calm.mean_gap = 1000;
-    ArrivalConfig bursty = calm;
-    bursty.model = ArrivalModel::kBursty;
-    bursty.burst_factor = 10.0;
-    bursty.burst_enter = 0.3;
-    bursty.burst_exit = 0.1;
-
-    const auto horizon = [](ArrivalConfig cfg) {
-        ArrivalProcess p(cfg, 3);
-        Tick last = 0;
-        for (int i = 0; i < 2000; ++i)
-            last = p.next().arrival;
-        return last;
-    };
-    // Same arrival count in strictly less time once bursts kick in.
-    EXPECT_LT(horizon(bursty), horizon(calm));
 }
 
 // ---- Per-device Rng substreams -------------------------------------------
@@ -166,27 +123,35 @@ TEST(FleetTest, DeviceStreamInvariantToFleetSize)
     // siblings share the fleet: device 0 of a 1-device fleet and
     // device 0 of a 4-device fleet draw the same jitter sequence, each
     // a prefix of the reference substream. Seeding all devices from
-    // one shared Rng would interleave draws and break this.
+    // one shared Rng would interleave draws and break this. With
+    // defrag off no admission waits on a migration, so each
+    // `fleet.admit` span lasts the base service time plus its draw.
     const std::uint64_t seed = 99;
     std::vector<std::vector<Cycles>> logs;
     for (int fleet_size : {1, 4}) {
-        FleetConfig cfg = small_fleet(seed, true);
+        FleetConfig cfg = small_fleet(seed, false);
         cfg.num_devices = fleet_size;
         cfg.max_arrivals = 400;
-        cfg.record_device_jitter = true;
-        FleetSimulator sim(cfg);
-        sim.run();
-        logs.push_back(sim.device_jitter_log(0));
-        ASSERT_FALSE(logs.back().empty());
+        testutil::CaptureSink sink;
+        {
+            testutil::SinkGuard guard(&sink);
+            FleetSimulator sim(cfg);
+            sim.run();
+        }
+        std::vector<Cycles> log;
+        for (const testutil::CapturedEvent& span : sink.named("fleet.admit"))
+            if (span.num.at("dev") == 0.0)
+                log.push_back(span.dur - FleetSimulator::kAdmitBaseTicks);
+        ASSERT_FALSE(log.empty());
+        logs.push_back(std::move(log));
     }
 
-    FleetConfig ref_cfg = small_fleet(seed, true);
     Rng ref = Rng::substream(seed, 0);
     std::vector<Cycles> expected;
     const std::size_t need =
         std::max(logs[0].size(), logs[1].size());
     for (std::size_t i = 0; i < need; ++i)
-        expected.push_back(ref.next_below(ref_cfg.admit_jitter_ticks));
+        expected.push_back(ref.next_below(FleetSimulator::kAdmitJitterTicks));
 
     for (const std::vector<Cycles>& log : logs)
         for (std::size_t i = 0; i < log.size(); ++i)

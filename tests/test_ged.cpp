@@ -145,9 +145,7 @@ TEST(GedTest, ApproxFindsExactMatchForMeshInMesh)
     // Same shape => zero distance even through the approximation.
     Graph req = Graph::mesh(3, 3);
     Graph cand = Graph::mesh(3, 3);
-    GedOptions opt;
-    opt.exact_limit = 0; // force approximation
-    GedResult r = ged(req, cand, opt);
+    GedResult r = approx_ged(req, cand);
     EXPECT_DOUBLE_EQ(r.cost, 0.0);
 }
 
@@ -207,9 +205,7 @@ TEST(GedTest, DispatchUsesExactForSmall)
 {
     Graph a = Graph::chain(5);
     Graph b = Graph::ring(5);
-    GedOptions opt;
-    opt.exact_limit = 9;
-    EXPECT_DOUBLE_EQ(ged(a, b, opt).cost, exact_ged(a, b, opt).cost);
+    EXPECT_DOUBLE_EQ(ged(a, b).cost, exact_ged(a, b).cost);
 }
 
 } // namespace

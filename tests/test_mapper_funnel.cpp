@@ -172,6 +172,38 @@ TEST(MapperFunnelTest, StageCountersAccount)
     EXPECT_EQ(again.ted, r.ted);
 }
 
+TEST(MapperFunnelTest, EdgeInsertionCostKeysTheMemo)
+{
+    // The memo key is the request's structure and its edge insertion
+    // cost: a request that differs only in that cost is scored afresh,
+    // never served scores priced under the other cost.
+    noc::MeshTopology topo(16, 16);
+    CoreSet free_cores = CoreSet::first_n(256);
+    Rng rng(12);
+    for (int i = 0; i < 60; ++i)
+        free_cores.reset(static_cast<int>(rng.next_below(256)));
+
+    for (int k : {8, 24}) { // the exact and the approximate path
+        MappingRequest unit;
+        unit.vtopo = TopologyMapper::snake_topology(k);
+        unit.strategy = MappingStrategy::kSimilarTopology;
+        MappingRequest costly = unit;
+        costly.ged.edge_ins_cost = 2.0;
+
+        TopologyMapper shared(topo);
+        ASSERT_TRUE(shared.map(unit, free_cores).ok) << "k=" << k;
+        const MappingResult got = shared.map(costly, free_cores);
+        const MappingResult want = TopologyMapper(topo).map(costly, free_cores);
+        ASSERT_TRUE(got.ok) << "k=" << k;
+        EXPECT_EQ(got.funnel.memo_hits, 0u) << "k=" << k;
+        EXPECT_EQ(got.assignment, want.assignment) << "k=" << k;
+        EXPECT_EQ(got.ted, want.ted) << "k=" << k;
+        // The same request again is served from the memo.
+        EXPECT_GT(shared.map(costly, free_cores).funnel.memo_hits, 0u)
+            << "k=" << k;
+    }
+}
+
 /** One similar admission of `similar_churn_32x32`, as the mapper
  *  reported it. */
 struct ChurnRecord {
@@ -368,9 +400,9 @@ TEST(GedLowerBoundTest, ProfileOverloadMatchesGraphOverload)
 
 TEST(GedLowerBoundTest, CostBoundPreservesOrFlagsResult)
 {
-    // cost_bound is prune-only: a bound above the true minimum must
-    // not change the result at all; a bound at/below it must yield the
-    // {infinity, empty} sentinel.
+    // The exact search's bound is prune-only: a bound above the true
+    // minimum must not change the result at all; a bound at/below it
+    // must yield the {infinity, empty} sentinel.
     Rng rng(44);
     for (int trial = 0; trial < 60; ++trial) {
         int n = 3 + static_cast<int>(rng.next_below(5));
@@ -378,15 +410,11 @@ TEST(GedLowerBoundTest, CostBoundPreservesOrFlagsResult)
         graph::Graph b = random_graph(n, rng, 2);
         graph::GedResult ref = graph::exact_ged(a, b);
 
-        graph::GedOptions loose;
-        loose.cost_bound = ref.cost + 0.5;
-        graph::GedResult same = graph::exact_ged(a, b, loose);
+        graph::GedResult same = graph::exact_ged(a, b, {}, ref.cost + 0.5);
         EXPECT_EQ(same.cost, ref.cost);
         EXPECT_EQ(same.mapping, ref.mapping);
 
-        graph::GedOptions tight;
-        tight.cost_bound = ref.cost;
-        graph::GedResult cut = graph::exact_ged(a, b, tight);
+        graph::GedResult cut = graph::exact_ged(a, b, {}, ref.cost);
         EXPECT_TRUE(std::isinf(cut.cost));
         EXPECT_TRUE(cut.mapping.empty());
     }
@@ -413,7 +441,7 @@ TEST(GedScorerTest, SubsetScoresMatchPlainGed)
             graph::GedResult via_ged = graph::ged(req, cand, opt);
             EXPECT_EQ(via_scorer.cost, via_ged.cost);
             EXPECT_EQ(via_scorer.mapping, via_ged.mapping);
-            if (k > opt.exact_limit)
+            if (k > graph::kGedExactLimit)
                 continue;
             // A bounded score is the exact search under that cost
             // bound: the same cost and mapping, or {infinity, {}}.
@@ -421,12 +449,10 @@ TEST(GedScorerTest, SubsetScoresMatchPlainGed)
             for (double bound : {std::numeric_limits<double>::infinity(),
                                  best, std::ceil(best / 2),
                                  std::numeric_limits<double>::min()}) {
-                graph::GedOptions bounded = opt;
-                bounded.cost_bound = bound;
                 graph::GedResult got =
                     scorer.score_subset(mesh, mask, bound);
                 graph::GedResult want =
-                    graph::exact_ged(req, cand, bounded);
+                    graph::exact_ged(req, cand, opt, bound);
                 EXPECT_EQ(got.cost, want.cost)
                     << "k=" << k << " bound=" << bound;
                 EXPECT_EQ(got.mapping, want.mapping)
@@ -484,7 +510,8 @@ TEST(GedScorerTest, ExactFastPathMatchesGenericPath)
     // The integer branch and bound must return the generic search's
     // cost and mapping, or its {infinity, {}} sentinel, under every
     // prune bound: unbounded, the optimum itself (cut), a value in the
-    // middle, and the smallest positive double (the TED-0 stage's).
+    // middle, and the smallest positive double (zero-cost mappings
+    // only).
     Rng rng(47);
     const graph::GedOptions generic = generic_default_costs();
     noc::MeshTopology topo(32, 32);
@@ -495,12 +522,8 @@ TEST(GedScorerTest, ExactFastPathMatchesGenericPath)
         for (double bound : {std::numeric_limits<double>::infinity(), opt,
                              std::ceil(opt / 2),
                              std::numeric_limits<double>::min()}) {
-            graph::GedOptions f;
-            f.cost_bound = bound;
-            graph::GedOptions g = generic;
-            g.cost_bound = bound;
-            graph::GedResult rf = graph::exact_ged(a, b, f);
-            graph::GedResult rg = graph::exact_ged(a, b, g);
+            graph::GedResult rf = graph::exact_ged(a, b, {}, bound);
+            graph::GedResult rg = graph::exact_ged(a, b, generic, bound);
             EXPECT_EQ(rf.cost, rg.cost)
                 << "n=" << a.num_nodes() << " bound=" << bound;
             EXPECT_EQ(rf.mapping, rg.mapping)

@@ -166,6 +166,22 @@ TEST_F(NetFixture, InterferenceAccounting)
     EXPECT_EQ(net.interference_links(), 0);
 }
 
+TEST_F(NetFixture, InterferenceTellsApartAnyVmIds)
+{
+    // Hypervisor VM ids only grow, so ids of 64 and up share links too.
+    net.send(0, 1, 2, 2048, 64, 0);
+    net.send(0, 1, 2, 2048, 65, 1);
+    EXPECT_EQ(net.interference_links(), 1);
+    net.reset();
+    net.send(0, 1, 2, 2048, 3, 0);
+    net.send(0, 1, 2, 2048, 67, 1);
+    EXPECT_EQ(net.interference_links(), 1);
+    net.reset();
+    net.send(0, 1, 2, 2048, 70, 0);
+    net.send(0, 1, 2, 2048, 70, 1);
+    EXPECT_EQ(net.interference_links(), 0);
+}
+
 TEST_F(NetFixture, ConfinedRoutingStaysInsideRegion)
 {
     // L-shaped region: 0, 4, 8, 9, 10. XY routing 0->10 would go

@@ -150,7 +150,6 @@ TEST(CompilerTest, ChunkedLoadIsOneInstruction)
     CompileOptions opt;
     opt.iterations = 2;
     opt.stream_weights = true;
-    opt.chunk_bytes = 1024;
     CompiledWorkload cw = compile_pipeline(m, plan, opt, 0x10000, 1ull << 30);
     std::uint64_t largest = 0;
     for (std::size_t v = 0; v < cw.programs.size(); ++v) {
@@ -161,27 +160,13 @@ TEST(CompilerTest, ChunkedLoadIsOneInstruction)
                 continue;
             weight_loads += in.op == core::Opcode::kLoadWeight;
             largest = std::max(largest, in.bytes);
-            EXPECT_EQ(in.chunk, std::min<std::uint64_t>(1024, in.bytes));
+            EXPECT_EQ(in.chunk,
+                      std::min<std::uint64_t>(kDmaChunkBytes, in.bytes));
         }
         // One streamed weight load per iteration, whatever its size.
         EXPECT_EQ(weight_loads, cw.weight_bytes[v] > 0 ? 2 : 0);
     }
-    EXPECT_GT(largest, 1024u); // some load spans several chunks
-}
-
-TEST(CompilerTest, ChunkSizeOutOfRangeIsFatal)
-{
-    Model m = workload::resnet_block(16, 64);
-    workload::PipelinePlan plan = workload::make_pipeline_plan(m, 2);
-    CompileOptions opt;
-    opt.chunk_bytes = 0;
-    EXPECT_THROW(compile_pipeline(m, plan, opt, 0x10000, 1ull << 30),
-                 SimFatal);
-    opt.chunk_bytes = std::uint64_t{UINT32_MAX} + 1;
-    EXPECT_THROW(compile_pipeline(m, plan, opt, 0x10000, 1ull << 30),
-                 SimFatal);
-    opt.chunk_bytes = UINT32_MAX;
-    EXPECT_NO_THROW(compile_pipeline(m, plan, opt, 0x10000, 1ull << 30));
+    EXPECT_GT(largest, kDmaChunkBytes); // some load spans several chunks
 }
 
 // ---- End-to-end launches ----------------------------------------------------------
