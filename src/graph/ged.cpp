@@ -367,24 +367,28 @@ constexpr int kMaxTwoOptPasses = 24;
  * accumulates is then a small integer — node terms are 0/1, an edge
  * toggle is exactly del(1) + ins(1) = 2.0 — so each IEEE addition is
  * exact and an integer recurrence reproduces the identical swap
- * sequence and the bit-identical final cost. Per-pair deltas collapse
- * to two popcounts via maintained state (images are single bits since
- * n <= 64):
+ * sequence and the bit-identical final cost. The state lives in request
+ * space: the candidate adjacency pulled back through the mapping,
  *
- *   nimg[x] = bitset of images of x's request neighbors
- *   mc[x]   = matched request edges at x
- *           = popcount(cand_row[map[x]] & nimg[x])
+ *   pb[x] = {w : cand_row[map[x]] holds map[w]}   (symmetric in x, w)
+ *   mc[x] = matched request edges at x = popcount(req_row[x] & pb[x])
+ *
+ * so a per-pair delta is two popcounts of request rows:
  *
  *   delta(a, b) = node terms
- *     + 2 * (mc[a] + mc[b] - 2*[a~b][map[a]~map[b]]
- *            - popcount(cand_row[map[b]] & nimg[a])
- *            - popcount(cand_row[map[a]] & nimg[b]))
+ *     + 2 * (mc[a] + mc[b] - 2*[b in req_row[a] & pb[a]]
+ *            - popcount(pb[b] & req_row[a])
+ *            - popcount(pb[a] & req_row[b]))
  *
  * (a's old matches excluding the swap-invariant (a, b) edge are mc[a]
- * minus that edge's match bit; its new matches are counted against
- * map[b]'s row, where the self-bit cannot occur; symmetrically for b.)
- * A swap's support is local, so only {a, b} and their request
- * neighbors need nimg/mc updates afterwards.
+ * minus that edge's match bit; its new matches are its neighbours
+ * adjacent to b's old image, where the self-bit cannot occur;
+ * symmetrically for b.) A swap is the transposition s = (a b) of
+ * request nodes, after which pb'[x] = s(pb[s(x)]): rows a and b trade
+ * places with their bits a and b exchanged, and any other row changes
+ * only if it holds exactly one of those bits — i.e. x in pb[a] ^ pb[b]
+ * — and then flips both. Only {a, b} and their request neighbours see
+ * a changed mc. `inv[]` (each candidate's preimage) only seeds pb.
  *
  * When labels are uniform on each side, node terms vanish and two skips
  * apply, each to pairs with delta >= 0 only, so neither can change the
@@ -394,14 +398,14 @@ constexpr int kMaxTwoOptPasses = 24;
  *  - b outside a's gain set, i.e. both popcount terms are zero. Then
  *    delta = 2 * (mc[a] + mc[b] - 2*[a~b][map[a]~map[b]]) >= 0, since a
  *    matched (a, b) edge is counted in both mc[a] and mc[b]. A popcount
- *    term is nonzero iff map[b] is adjacent to the image of one of a's
- *    neighbours, or b is adjacent to the preimage of one of map[a]'s
- *    neighbours, so with `inv[]` (each candidate's preimage)
+ *    term is nonzero iff b is in pb[u] for a request neighbour u of a,
+ *    or b is a request neighbour of some w in pb[a], so
  *
- *      gain(a) = preimages(OR of cand_row[c] over c in nimg[a])
- *              | OR of req_row[u] over u in preimages(cand_row[map[a]])
+ *      gain(a) = OR of pb[u] over u in req_row[a]
+ *              | OR of req_row[w] over w in pb[a]
  *
- *    is built once per a and rebuilt after each applied swap.
+ *    (two walks of at most a node's degree) is built once per a and
+ *    rebuilt after each applied swap.
  */
 double
 approx_refine(const DenseGraph& req, const DenseGraph& cand,
@@ -439,19 +443,17 @@ approx_refine(const DenseGraph& req, const DenseGraph& cand,
     // cancel); the initial label-mismatch count stays general.
     const bool uniform = req_uni && cand_uni;
 
-    std::uint64_t nimg[64] = {};
+    std::uint64_t pb[64] = {};
     int mc[64] = {}, deg[64] = {}, inv[64] = {};
-    for (int v = 0; v < n; ++v) {
-        deg[v] = req.degree(v);
+    for (int v = 0; v < n; ++v)
         inv[map[v]] = v;
-        for (int i = req.nbr_off[v]; i < req.nbr_off[v + 1]; ++i)
-            nimg[v] |= std::uint64_t{1} << map[req.nbr[i]];
-    }
     long long matched2 = 0; // 2x matched request edges
     long long label_mis = 0;
     std::uint64_t umask = 0; // nodes with an unmatched request edge
     for (int v = 0; v < n; ++v) {
-        mc[v] = __builtin_popcountll(crow[map[v]] & nimg[v]);
+        deg[v] = req.degree(v);
+        pb[v] = preimages(crow[map[v]], inv);
+        mc[v] = __builtin_popcountll(rrow[v] & pb[v]);
         matched2 += mc[v];
         if (mc[v] < deg[v])
             umask |= std::uint64_t{1} << v;
@@ -461,7 +463,7 @@ approx_refine(const DenseGraph& req, const DenseGraph& cand,
     long long cost = label_mis + req.num_edges + cand.num_edges - matched2;
 
     auto update_node = [&](int x) {
-        mc[x] = __builtin_popcountll(crow[map[x]] & nimg[x]);
+        mc[x] = __builtin_popcountll(rrow[x] & pb[x]);
         if (mc[x] < deg[x])
             umask |= std::uint64_t{1} << x;
         else
@@ -473,11 +475,10 @@ approx_refine(const DenseGraph& req, const DenseGraph& cand,
     auto gain_set = [&](int a) {
         if (!uniform)
             return ~std::uint64_t{0};
-        std::uint64_t near = 0;
-        for (std::uint64_t s = nimg[a]; s; s &= s - 1)
-            near |= crow[__builtin_ctzll(s)];
-        std::uint64_t g = preimages(near, inv);
-        for (std::uint64_t s = preimages(crow[map[a]], inv); s; s &= s - 1)
+        std::uint64_t g = 0;
+        for (std::uint64_t s = rrow[a]; s; s &= s - 1)
+            g |= pb[__builtin_ctzll(s)];
+        for (std::uint64_t s = pb[a]; s; s &= s - 1)
             g |= rrow[__builtin_ctzll(s)];
         if (!((umask >> a) & 1))
             g &= umask; // a fully matched: b must not be
@@ -495,32 +496,30 @@ approx_refine(const DenseGraph& req, const DenseGraph& cand,
                 if (!rest)
                     break;
                 b = __builtin_ctzll(rest);
-                const int ma = map[a], mb = map[b];
                 long long d =
-                    2ll *
-                    (mc[a] + mc[b] -
-                     2 * static_cast<int>((rrow[a] >> b) &
-                                          (crow[ma] >> mb) & 1) -
-                     __builtin_popcountll(crow[mb] & nimg[a]) -
-                     __builtin_popcountll(crow[ma] & nimg[b]));
+                    2ll * (mc[a] + mc[b] -
+                           2 * static_cast<int>((rrow[a] & pb[a]) >> b & 1) -
+                           __builtin_popcountll(pb[b] & rrow[a]) -
+                           __builtin_popcountll(pb[a] & rrow[b]));
                 if (!uniform) {
                     const int la = req.label[a], lb = req.label[b];
-                    const int ca = cand.label[ma], cb = cand.label[mb];
+                    const int ca = cand.label[map[a]];
+                    const int cb = cand.label[map[b]];
                     d += (la != cb) + (lb != ca) - (la != ca) -
                          (lb != cb);
                 }
                 if (d < 0) {
-                    map[a] = mb;
-                    map[b] = ma;
-                    const std::uint64_t flip =
-                        (std::uint64_t{1} << ma) ^ (std::uint64_t{1}
-                                                    << mb);
-                    for (int i = req.nbr_off[a]; i < req.nbr_off[a + 1];
-                         ++i)
-                        nimg[req.nbr[i]] ^= flip;
-                    for (int i = req.nbr_off[b]; i < req.nbr_off[b + 1];
-                         ++i)
-                        nimg[req.nbr[i]] ^= flip;
+                    std::swap(map[a], map[b]);
+                    // pb'[x] = s(pb[s(x)]) for s = (a b).
+                    const std::uint64_t ab =
+                        (std::uint64_t{1} << a) | (std::uint64_t{1} << b);
+                    for (std::uint64_t s = (pb[a] ^ pb[b]) & ~ab; s;
+                         s &= s - 1)
+                        pb[__builtin_ctzll(s)] ^= ab;
+                    std::swap(pb[a], pb[b]);
+                    for (std::uint64_t* r : {&pb[a], &pb[b]})
+                        if (((*r >> a) ^ (*r >> b)) & 1)
+                            *r ^= ab;
                     update_node(a);
                     update_node(b);
                     for (int i = req.nbr_off[a]; i < req.nbr_off[a + 1];
@@ -529,8 +528,6 @@ approx_refine(const DenseGraph& req, const DenseGraph& cand,
                     for (int i = req.nbr_off[b]; i < req.nbr_off[b + 1];
                          ++i)
                         update_node(req.nbr[i]);
-                    inv[mb] = a;
-                    inv[ma] = b;
                     cost += d;
                     improved = true;
                     gain = gain_set(a);

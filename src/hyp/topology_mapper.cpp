@@ -126,6 +126,20 @@ class HashSet64 {
         return true;
     }
 
+    /** True when `h` is in the set. */
+    bool
+    contains(std::uint64_t h) const
+    {
+        if (h == 0)
+            return has_zero_;
+        const std::size_t mask = slots_.size() - 1;
+        for (std::size_t i = (h * 0x9e3779b97f4a7c15ULL) >> 7 & mask;
+             slots_[i] != 0; i = (i + 1) & mask)
+            if (slots_[i] == h)
+                return true;
+        return false;
+    }
+
   private:
     void
     grow()
@@ -156,11 +170,11 @@ class HashSet64 {
  * winner (the sampled tail could never have been reached: the scorer
  * early-exits at the first zero-cost hash-equal candidate).
  *
- * Masks are WL-hashed on the pool in batches of `kHashBatch`, then
- * deduplicated in emission order; the dedup stops at the candidate cap
- * exactly where a mask-at-a-time walk would, and masks past the cut
- * are dropped uncounted (docs/sim_kernel.md, "Parallel determinism
- * invariant").
+ * Enumerated masks are WL-hashed on the pool in batches of
+ * `kHashBatch`, sampled ones serially up to the cap, then deduplicated
+ * in emission order; the dedup stops at the candidate cap exactly where
+ * a mask-at-a-time walk would, and masks past the cut are dropped
+ * uncounted (docs/sim_kernel.md, "Parallel determinism invariant").
  */
 struct CandidateCollector {
     static constexpr std::size_t kHashBatch = 64;
@@ -258,8 +272,11 @@ struct CandidateCollector {
         consume(pending, cap);
     }
 
-    /** The sampler's draws and their WL hashes, hashed on the pool (or
-     *  inline inside a pool job); a pure function of (k, free). */
+    /** The sampler's draws and the WL hashes of those `absorb_samples`
+     *  reads: hashing stops at the draw that brings the distinct shapes
+     *  new to `dedup` to the room left under the 2x cap. A pure function
+     *  of (k, free, dedup), and neither `dedup` nor `masks` changes
+     *  while a run job (the sampler slot) is live. */
     void
     draw_samples(std::vector<graph::NodeMask>& draws,
                  std::vector<std::uint64_t>& draw_hashes) const
@@ -272,12 +289,16 @@ struct CandidateCollector {
                 mesh, k, free, static_cast<int>(req.max_candidates) * 4,
                 rng);
         }
-        draw_hashes.resize(draws.size());
-        TaskPool::instance().parallel_for(
-            0, static_cast<int>(draws.size()), [&](int d) {
-                VNPU_PROF("funnel.wl_hash");
-                draw_hashes[d] = mesh.wl_hash_subset(draws[d]);
-            });
+        std::size_t room = req.max_candidates * 2 - masks.size(); // > 0
+        HashSet64 fresh(std::min<std::size_t>(room, 4096));
+        draw_hashes.clear();
+        for (std::size_t d = 0; d < draws.size() && room > 0; ++d) {
+            VNPU_PROF("funnel.wl_hash");
+            const std::uint64_t h = mesh.wl_hash_subset(draws[d]);
+            draw_hashes.push_back(h);
+            if (!dedup.contains(h) && fresh.insert(h))
+                --room;
+        }
     }
 
     /** Sampled candidates join after the enumerated ones (at most
@@ -287,7 +308,7 @@ struct CandidateCollector {
                    const std::vector<std::uint64_t>& draw_hashes)
     {
         sampling_pending = false;
-        absorb(draws.data(), draw_hashes.data(), draws.size(),
+        absorb(draws.data(), draw_hashes.data(), draw_hashes.size(),
                req.max_candidates * 2);
     }
 };

@@ -18,6 +18,7 @@
 
 #include "graph/ged.h"
 #include "hyp/topology_mapper.h"
+#include "obs/prof.h"
 #include "sim/rng.h"
 #include "sim/task_pool.h"
 
@@ -214,6 +215,17 @@ struct ChurnRecord {
     FunnelCounters funnel;
 };
 
+ChurnRecord
+churn_record(const MappingResult& r)
+{
+    std::uint64_t h = 0xcbf29ce484222325ULL;
+    for (CoreId c : r.assignment) {
+        h ^= static_cast<std::uint64_t>(c);
+        h *= 0x100000001b3ULL;
+    }
+    return {r.ok, h, r.ted, r.candidates_considered, r.funnel};
+}
+
 /**
  * A 32x32 similar-topology churn with the benchmark's candidate cap
  * (64): snake requests of every size in 8..47 on a fragmented mesh,
@@ -240,13 +252,7 @@ similar_churn_32x32()
         MappingResult r;
         for (int rep = 0; rep < (step % 10 == 9 ? 2 : 1); ++rep) {
             r = mapper.map(req, free_cores);
-            std::uint64_t h = 0xcbf29ce484222325ULL;
-            for (CoreId c : r.assignment) {
-                h ^= static_cast<std::uint64_t>(c);
-                h *= 0x100000001b3ULL;
-            }
-            out.push_back({r.ok, h, r.ted, r.candidates_considered,
-                           r.funnel});
+            out.push_back(churn_record(r));
         }
         if (r.ok) {
             CoreSet used;
@@ -347,6 +353,73 @@ TEST(MapperFunnelTest, SimilarChurnMatchesParentRecord)
         memo = memo || r.funnel.memo_hits > 0;
     }
     EXPECT_TRUE(sampled && exact_ted0 && approx_ted0 && memo);
+}
+
+TEST(MapperFunnelTest, SamplerHashesStopAtTheCap)
+{
+    // Two sampled admissions on the churn's first free set, each on a
+    // fresh mapper: k = 21 fills the 2x cap (32 of 16) before its 64
+    // draws run out; k = 10 keeps 104 of 128 and reads every draw. The
+    // records are the ones the funnel made when it hashed every draw,
+    // and `all_draws` is that funnel's hash count (one `funnel.wl_hash`
+    // profiler scope per hashed mask): the cut saves hashes only where
+    // the cap is reached, and changes no decision or counter.
+    struct Case {
+        int k;
+        std::uint64_t max_candidates;
+        ChurnRecord want;
+        std::uint64_t hashes;
+        std::uint64_t all_draws;
+    };
+    const Case kCases[] = {
+        {21, 16, {true, 0x48d201f2470289e6ULL, 8, 95,
+                  {32, 0, 0, 32, 0, 32}}, 95, 107},
+        {10, 64, {true, 0x0029b936cd0f1f23ULL, 1, 484,
+                  {104, 17, 0, 104, 0, 87}}, 484, 484},
+    };
+    noc::MeshTopology topo(32, 32);
+    Rng rng(2101);
+    const CoreSet free_cores = fragmented_1024(rng) | fragmented_1024(rng);
+    for (const Case& c : kCases) {
+        TopologyMapper mapper(topo);
+        MappingRequest req;
+        req.vtopo = TopologyMapper::snake_topology(c.k);
+        req.strategy = MappingStrategy::kSimilarTopology;
+        req.max_candidates = c.max_candidates;
+        obs::Profiler prof;
+        ChurnRecord got;
+        {
+            struct ProfGuard {
+                explicit ProfGuard(obs::Profiler* p) { obs::set_profiler(p); }
+                ~ProfGuard() { obs::set_profiler(nullptr); }
+            } guard(&prof);
+            got = churn_record(mapper.map(req, free_cores));
+        }
+        EXPECT_EQ(got.ok, c.want.ok) << "k=" << c.k;
+        EXPECT_EQ(got.assignment_hash, c.want.assignment_hash)
+            << "k=" << c.k;
+        EXPECT_EQ(got.ted, c.want.ted) << "k=" << c.k;
+        EXPECT_EQ(got.candidates_considered, c.want.candidates_considered)
+            << "k=" << c.k;
+        for (const auto& [name, field] : kFunnelFields)
+            EXPECT_EQ(got.funnel.*field, c.want.funnel.*field)
+                << "k=" << c.k << " funnel." << name;
+        std::uint64_t hashes = 0;
+        for (const auto& site : prof.report().sites)
+            if (site.name == "funnel.wl_hash")
+                hashes = site.calls;
+        EXPECT_EQ(hashes, c.hashes) << "k=" << c.k;
+    }
+
+    const Case& cap = kCases[0];
+    const Case& short_of_cap = kCases[1];
+    EXPECT_EQ(cap.want.funnel.candidates, 2 * cap.max_candidates);
+    EXPECT_LT(cap.hashes, cap.all_draws);
+    EXPECT_GT(short_of_cap.want.funnel.candidates,
+              short_of_cap.max_candidates);
+    EXPECT_LT(short_of_cap.want.funnel.candidates,
+              2 * short_of_cap.max_candidates);
+    EXPECT_EQ(short_of_cap.hashes, short_of_cap.all_draws);
 }
 
 TEST(MapperFunnelTest, CustomCostsDisableFunnelStages)
@@ -501,6 +574,32 @@ TEST(GedScorerTest, IntegerFastPathMatchesGenericPath)
             graph::GedResult rg = graph::approx_ged(req, cand, generic);
             EXPECT_EQ(rf.cost, rg.cost) << "n=" << n;
             EXPECT_EQ(rf.mapping, rg.mapping) << "n=" << n;
+        }
+    }
+
+    // n = 48..64 reaches the top adjacency bits (bit 63 at n = 64), with
+    // uniform labels and with mixed ones (no gain-set skip), on dense
+    // random pairs and on sparse snake-vs-mesh pairs.
+    const CoreSet wide = fragmented_1024(rng) | fragmented_1024(rng);
+    for (int n = 48; n <= 64; ++n) {
+        for (int labels : {1, 3}) {
+            auto check = [&](const graph::Graph& a, const graph::Graph& b) {
+                graph::GedResult rf = graph::approx_ged(a, b, fast);
+                graph::GedResult rg = graph::approx_ged(a, b, generic);
+                EXPECT_EQ(rf.cost, rg.cost)
+                    << "n=" << n << " labels=" << labels;
+                EXPECT_EQ(rf.mapping, rg.mapping)
+                    << "n=" << n << " labels=" << labels;
+            };
+            check(random_graph(n, rng, labels), random_graph(n, rng, labels));
+            graph::Graph req = TopologyMapper::snake_topology(n);
+            for (int v = 0; v < n && labels > 1; ++v)
+                req.set_label(v, static_cast<int>(rng.next_below(labels)));
+            const auto subs =
+                graph::sample_connected_subsets(mesh, n, wide, 2, rng);
+            ASSERT_FALSE(subs.empty()) << "n=" << n;
+            for (const auto& mask : subs)
+                check(req, mesh.induced(graph::Graph::mask_to_nodes(mask)));
         }
     }
 }
